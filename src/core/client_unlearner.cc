@@ -67,12 +67,8 @@ Result<UnlearningOutcome> ClientUnlearner::UnlearnBatch(
   }
 
   // Bracket all trainer-state mutation as one atomic operation for the
-  // durable journal (see SampleUnlearner); only a crash skips the End.
-  trainer_->NotifyUnlearnBegin();
-  struct OpGuard {
-    FatsTrainer* trainer;
-    ~OpGuard() { trainer->NotifyUnlearnEnd(); }
-  } op_guard{trainer_};
+  // durable journal.
+  FatsTrainer::UnlearnBracket bracket(trainer_);
 
   for (int64_t target : deduped) {
     FATS_RETURN_NOT_OK(trainer_->data()->RemoveClient(target));
@@ -83,18 +79,17 @@ Result<UnlearningOutcome> ClientUnlearner::UnlearnBatch(
     return outcome;
   }
 
-  // Re-computation: the client multiset of round r_actual (and later) is
-  // re-drawn over the remaining clients with fresh randomness — the
-  // ν(M−1, K) measure — and training re-runs to T. Unlike the sample-level
-  // case, re-drawing the selections is exactly what the coupling requires
-  // here, because the deletion changed the selection measure itself. The
-  // re-run inherits the trainer's parallel client runner (config
-  // num_threads), which is bit-identical to the serial schedule.
-  const int64_t t_restart = (r_actual - 1) * e + 1;
-  trainer_->TruncateStoreFromIteration(t_restart);
-  trainer_->BumpGeneration();
+  // Re-computation: the client multisets of round r_actual and later are
+  // redrawn over the remaining clients with fresh randomness — the
+  // ν(M−1, K) measure — together with their mini-batches, and the model is
+  // replayed against the redrawn history. Unlike the sample-level case,
+  // redrawing the selections is exactly what the coupling requires here,
+  // because the deletion changed the selection measure itself. The replay
+  // inherits the trainer's parallel client runner (config num_threads),
+  // which is bit-identical to the serial schedule.
+  const int64_t t_restart = trainer_->RedrawRoundsFrom(r_actual);
   trainer_->set_recomputation_mode(true);
-  trainer_->Run(t_restart, t_max);
+  trainer_->ReplayFrom(t_restart);
   trainer_->set_recomputation_mode(false);
 
   const int64_t r_last = (t_max + e - 1) / e;

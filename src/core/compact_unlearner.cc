@@ -48,13 +48,14 @@ void CompactUnlearner::RebuildIndexFromStore() {
   }
 }
 
-Result<UnlearningOutcome> CompactUnlearner::RetrainFromScratch() {
+UnlearningOutcome CompactUnlearner::RetrainFromScratch() {
   const FatsConfig& config = trainer_->config();
   const int64_t t_max = trainer_->trained_through();
-  trainer_->TruncateStoreFromIteration(1);
-  trainer_->BumpGeneration();
+  // Redraw the whole history at a fresh generation, then recompute the
+  // model from the initial one (round 0 survives the truncation).
+  trainer_->RedrawRoundsFrom(1);
   trainer_->set_recomputation_mode(true);
-  trainer_->Run(1, t_max);
+  trainer_->ReplayFrom(1);
   trainer_->set_recomputation_mode(false);
   RebuildIndexFromStore();
 
@@ -70,6 +71,7 @@ Result<UnlearningOutcome> CompactUnlearner::RetrainFromScratch() {
 Result<UnlearningOutcome> CompactUnlearner::UnlearnClient(
     int64_t target, int64_t request_iter) {
   Stopwatch timer;
+  // Validation fires before any mutation, with ClientUnlearner's checks.
   if (request_iter < 1 || request_iter > trainer_->trained_through()) {
     return Status::InvalidArgument("request_iter out of range");
   }
@@ -79,14 +81,15 @@ Result<UnlearningOutcome> CompactUnlearner::UnlearnClient(
   if (!trainer_->data()->client_active(target)) {
     return Status::FailedPrecondition("target client already removed");
   }
-  const bool participated = index_.ClientParticipated(target);
-  FATS_RETURN_NOT_OK(trainer_->data()->RemoveClient(target));
-  if (!participated) {
-    UnlearningOutcome outcome;
-    outcome.wall_seconds = timer.ElapsedSeconds();
-    return outcome;
+  if (trainer_->data()->num_active_clients() <= 1) {
+    return Status::FailedPrecondition(
+        "batch would remove every active client from the federation");
   }
-  FATS_ASSIGN_OR_RETURN(UnlearningOutcome outcome, RetrainFromScratch());
+  const bool participated = index_.ClientParticipated(target);
+  FatsTrainer::UnlearnBracket bracket(trainer_);
+  FATS_RETURN_NOT_OK(trainer_->data()->RemoveClient(target));
+  UnlearningOutcome outcome;
+  if (participated) outcome = RetrainFromScratch();
   outcome.wall_seconds = timer.ElapsedSeconds();
   return outcome;
 }
@@ -94,20 +97,23 @@ Result<UnlearningOutcome> CompactUnlearner::UnlearnClient(
 Result<UnlearningOutcome> CompactUnlearner::UnlearnSample(
     const SampleRef& target, int64_t request_iter) {
   Stopwatch timer;
+  // Validation fires before any mutation, with SampleUnlearner's checks.
   if (request_iter < 1 || request_iter > trainer_->trained_through()) {
     return Status::InvalidArgument("request_iter out of range");
   }
   if (!trainer_->data()->sample_active(target.client, target.index)) {
     return Status::FailedPrecondition("target sample already deleted");
   }
-  const bool used = index_.SampleUsed(target.client, target.index);
-  FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(target));
-  if (!used) {
-    UnlearningOutcome outcome;
-    outcome.wall_seconds = timer.ElapsedSeconds();
-    return outcome;
+  if (trainer_->data()->num_active_samples(target.client) <= 1) {
+    return Status::FailedPrecondition(
+        "batch would empty the client's active sample set; use "
+        "client-level unlearning instead");
   }
-  FATS_ASSIGN_OR_RETURN(UnlearningOutcome outcome, RetrainFromScratch());
+  const bool used = index_.SampleUsed(target.client, target.index);
+  FatsTrainer::UnlearnBracket bracket(trainer_);
+  FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(target));
+  UnlearningOutcome outcome;
+  if (used) outcome = RetrainFromScratch();
   outcome.wall_seconds = timer.ElapsedSeconds();
   return outcome;
 }

@@ -54,10 +54,10 @@ class CompactUnlearner {
   int64_t IndexBytes() const { return index_.ApproxBytes(); }
 
  private:
-  /// Wipes all recorded history and retrains from the initial model on the
-  /// (already reduced) dataset with fresh randomness, then rebuilds the
+  /// Redraws all recorded history with fresh randomness and retrains from
+  /// the initial model on the (already reduced) dataset, then rebuilds the
   /// participation bits.
-  Result<UnlearningOutcome> RetrainFromScratch();
+  UnlearningOutcome RetrainFromScratch();
   void RebuildIndexFromStore();
 
   FatsTrainer* trainer_;

@@ -1,6 +1,7 @@
 #include "core/fats_trainer.h"
 
 #include <algorithm>
+#include <set>
 
 #include "fl/client.h"
 #include "fl/server.h"
@@ -97,8 +98,98 @@ void FatsTrainer::TrainUntil(int64_t t_end) {
   Run(trained_through_ + 1, t_end);
 }
 
-void FatsTrainer::Run(int64_t t0, int64_t t_end) {
-  const int64_t t_max = t_end;
+std::vector<int64_t> FatsTrainer::DrawClientSelection(int64_t round) const {
+  StreamId id;
+  id.purpose = RngPurpose::kClientSampling;
+  id.generation = generation_;
+  id.round = static_cast<uint64_t>(round);
+  RngStream stream(config_.seed, id);
+  return ServerRuntime::SampleClientsWithReplacement(*data_, k_, &stream);
+}
+
+std::vector<int64_t> FatsTrainer::DrawMinibatch(int64_t t,
+                                                int64_t client) const {
+  StreamId id;
+  id.purpose = RngPurpose::kMinibatchSampling;
+  id.generation = generation_;
+  id.round = static_cast<uint64_t>((t - 1) / config_.local_iters_e + 1);
+  id.client = static_cast<uint64_t>(client);
+  id.iteration = static_cast<uint64_t>(t);
+  RngStream stream(config_.seed, id);
+  const int64_t batch_size =
+      std::min<int64_t>(b_, data_->num_active_samples(client));
+  FATS_CHECK_GT(batch_size, 0)
+      << "client " << client << " has no active samples";
+  // SampleMinibatch reads only the dataset; the model argument is unused.
+  return ClientRuntime(data_, nullptr)
+      .SampleMinibatch(client, batch_size, &stream);
+}
+
+void FatsTrainer::RecordClientSelection(int64_t round,
+                                        std::vector<int64_t> multiset) {
+  if (sink_ != nullptr) sink_->OnClientSelection(round, multiset);
+  store_.SaveClientSelection(round, std::move(multiset));
+}
+
+void FatsTrainer::RecordMinibatch(int64_t t, int64_t client,
+                                  std::vector<int64_t> batch) {
+  if (sink_ != nullptr) sink_->OnMinibatch(t, client, batch);
+  store_.SaveMinibatch(t, client, std::move(batch));
+}
+
+FatsTrainer::SampleRewrite FatsTrainer::SubstituteSampleUses(
+    const std::vector<SampleRef>& deleted) {
+  // Affected (client, iteration) pairs via the inverted participation
+  // index: O(uses of the samples), not a scan over all records. Copied
+  // out, because each substitution de-indexes the batch it replaces.
+  std::map<int64_t, std::set<int64_t>> affected;
+  for (const SampleRef& ref : deleted) {
+    const std::vector<int64_t>* uses = store_.SampleUses(ref);
+    if (uses != nullptr) {
+      affected[ref.client].insert(uses->begin(), uses->end());
+    }
+  }
+  // One bump per call whether or not a batch is affected: later draws' keys
+  // depend on it, so every unlearning path bumps the same way.
+  BumpGeneration();
+  SampleRewrite rewrite;
+  for (const auto& [client, iters] : affected) {
+    for (int64_t t : iters) {
+      RecordMinibatch(t, client, DrawMinibatch(t, client));
+      ++rewrite.batches;
+      if (rewrite.first_iteration == -1 || t < rewrite.first_iteration) {
+        rewrite.first_iteration = t;
+      }
+    }
+  }
+  return rewrite;
+}
+
+int64_t FatsTrainer::RedrawRoundsFrom(int64_t round) {
+  const int64_t e = config_.local_iters_e;
+  const int64_t t_restart = (round - 1) * e + 1;
+  FATS_CHECK(round >= 1 && t_restart <= trained_through_)
+      << "redraw round out of range: " << round;
+  store_.TruncateFromIteration(t_restart, e);
+  if (sink_ != nullptr) sink_->OnTruncate(t_restart);
+  BumpGeneration();
+  const int64_t r_last = (trained_through_ + e - 1) / e;
+  for (int64_t r = round; r <= r_last; ++r) {
+    std::vector<int64_t> selection = DrawClientSelection(r);
+    const std::vector<int64_t> participants = UniqueClients(selection);
+    RecordClientSelection(r, std::move(selection));
+    const int64_t t_round_end = std::min(r * e, trained_through_);
+    for (int64_t t = (r - 1) * e + 1; t <= t_round_end; ++t) {
+      for (int64_t client : participants) {
+        RecordMinibatch(t, client, DrawMinibatch(t, client));
+      }
+    }
+  }
+  return t_restart;
+}
+
+void FatsTrainer::Pass(TrainPassKind kind, int64_t t0, int64_t t_end) {
+  const bool draw = kind == TrainPassKind::kRun;
   const int64_t e = config_.local_iters_e;
   FATS_CHECK(t0 >= 1 && t0 <= config_.total_iters_t())
       << "t0 out of range: " << t0;
@@ -113,13 +204,12 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
   std::unique_ptr<transport::EncodedModel> round_broadcast;
 
   const int64_t r0 = (t0 - 1) / e + 1;
-  const int64_t r0_start = (r0 - 1) * e + 1;
-  if (t0 != r0_start) {
+  if (t0 != (r0 - 1) * e + 1) {
     // Mid-round entry (Algorithm 1, lines 3–5): reload P^(t0) and the local
     // models after iteration t0−1.
     const std::vector<int64_t>* stored = store_.GetClientSelection(r0);
     FATS_CHECK(stored != nullptr)
-        << "mid-round restart requires the round's client selection";
+        << "mid-round entry requires the client selection of round " << r0;
     selection = *stored;
     participants = UniqueClients(selection);
     for (int64_t client : participants) {
@@ -138,22 +228,22 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
   int64_t loss_count = resume_loss_count_;
   resume_loss_sum_ = 0.0;
   resume_loss_count_ = 0;
-  for (int64_t t = t0; t <= t_max; ++t) {
+  for (int64_t t = t0; t <= t_end; ++t) {
     const int64_t r = (t - 1) / e + 1;
-    if (t == (r - 1) * e + 1) {
-      // STEP 1: round start — sample the client multiset and broadcast the
+    const bool round_start = t == (r - 1) * e + 1;
+    if (round_start) {
+      // STEP 1: round start — take the client multiset and broadcast the
       // latest global model.
-      StreamId sel_id;
-      sel_id.purpose = RngPurpose::kClientSampling;
-      sel_id.generation = generation_;
-      sel_id.round = static_cast<uint64_t>(r);
-      RngStream sel_stream(config_.seed, sel_id);
-      selection =
-          ServerRuntime::SampleClientsWithReplacement(*data_, k_, &sel_stream);
-      store_.SaveClientSelection(r, selection);
-      if (sink_ != nullptr) sink_->OnClientSelection(r, selection);
-      FATS_FAILPOINT("trainer.round.start");
-
+      if (draw) {
+        selection = DrawClientSelection(r);
+        RecordClientSelection(r, selection);
+        FATS_FAILPOINT("trainer.round.start");
+      } else {
+        const std::vector<int64_t>* stored = store_.GetClientSelection(r);
+        FATS_CHECK(stored != nullptr)
+            << "replay missing selection for round " << r;
+        selection = *stored;
+      }
       const Tensor* global = store_.GetGlobalModel(r - 1);
       FATS_CHECK(global != nullptr)
           << "missing global model for round " << r - 1;
@@ -175,37 +265,28 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
     }
 
     // STEP 2: one local mini-batch SGD iteration per distinct participant,
-    // executed by the client runner (parallel when num_threads > 1).
-    // Stream keys, batch sizes, and start-parameter pointers are frozen on
-    // the main thread in participant order before dispatch, and results
-    // are committed in that same order, so the schedule — draws, store
-    // contents, float accumulation — is bit-identical to serial.
+    // executed by the client runner (parallel when num_threads > 1). Start
+    // parameters (and, on replay, the stored batches) are frozen on the
+    // main thread before dispatch; a draw pass draws each batch inside its
+    // worker task from the (t, client) stream key, which is where lazy
+    // shards get generated. Results commit in participant order, so the
+    // schedule — draws, store contents, float accumulation — is
+    // bit-identical to serial.
     const size_t n_part = participants.size();
     struct LocalStep {
-      std::vector<int64_t> batch;
+      std::vector<int64_t> batch;  // drawn batch (draw passes only)
       Tensor params;
       double loss = 0.0;
     };
     std::vector<LocalStep> steps(n_part);
-    std::vector<uint64_t> stream_keys(n_part);
-    std::vector<int64_t> batch_sizes(n_part);
-    std::vector<int64_t> dropped(n_part, 0);
+    std::vector<const std::vector<int64_t>*> stored_batches(n_part, nullptr);
     std::vector<const Tensor*> start_params(n_part);
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
-      StreamId batch_id;
-      batch_id.purpose = RngPurpose::kMinibatchSampling;
-      batch_id.generation = generation_;
-      batch_id.round = static_cast<uint64_t>(r);
-      batch_id.client = static_cast<uint64_t>(client);
-      batch_id.iteration = static_cast<uint64_t>(t);
-      stream_keys[i] = DeriveStreamKey(config_.seed, batch_id);
-      batch_sizes[i] =
-          std::min<int64_t>(b_, data_->num_active_samples(client));
-      FATS_CHECK_GT(batch_sizes[i], 0)
-          << "client " << client << " has no active samples";
-      if (availability_.enabled()) {
-        dropped[i] = availability_.DroppedAttempts(r, t, client);
+      if (!draw) {
+        stored_batches[i] = store_.GetMinibatch(t, client);
+        FATS_CHECK(stored_batches[i] != nullptr)
+            << "replay missing mini-batch (" << t << ", " << client << ")";
       }
       start_params[i] = &local_params.at(client);
     }
@@ -216,7 +297,7 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
     // start from diverged per-client weights, so the pack is cleared before
     // their dispatch. Bit-identical either way (gemm::SgemmPackedB).
     const bool share_round_pack =
-        fused_round_pack_ && n_part > 0 && t == (r - 1) * e + 1;
+        fused_round_pack_ && n_part > 0 && round_start;
     if (share_round_pack) {
       runner_.SetSharedWeights(*start_params[0]);
     }
@@ -224,45 +305,40 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
         static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
           const size_t s = static_cast<size_t>(i);
           const int64_t client = participants[s];
-          // A dropped attempt discards the client's work; the retry
-          // re-executes the whole local step from the same frozen stream
-          // key, so the surviving attempt's draws and model bits are
-          // identical to a first-try success.
-          for (int64_t attempt = 0; attempt <= dropped[s]; ++attempt) {
-            m->SetParameters(*start_params[s]);
-            RngStream batch_stream(stream_keys[s]);
-            ClientRuntime runtime(data_, m);
-            steps[s].batch =
-                runtime.SampleMinibatch(client, batch_sizes[s], &batch_stream);
-            steps[s].loss =
-                runtime.Step(client, steps[s].batch, config_.learning_rate);
-            steps[s].params = m->GetParameters();
-          }
+          if (draw) steps[s].batch = DrawMinibatch(t, client);
+          m->SetParameters(*start_params[s]);
+          ClientRuntime runtime(data_, m);
+          steps[s].loss =
+              runtime.Step(client, draw ? steps[s].batch : *stored_batches[s],
+                           config_.learning_rate);
+          steps[s].params = m->GetParameters();
         });
     if (share_round_pack) runner_.ClearSharedWeights();
     for (size_t i = 0; i < n_part; ++i) {
       const int64_t client = participants[i];
-      if (dropped[i] > 0) {
-        // Each retry re-broadcasts the round's start model to the client,
-        // over the wire like the original. Mid-round pass entry skipped
-        // STEP 1, so the round's encoding may need rebuilding here. Send
-        // seqs start at K to stay distinct from the round-start slots.
-        if (round_broadcast == nullptr) {
-          const Tensor* round_global = store_.GetGlobalModel(r - 1);
-          FATS_CHECK(round_global != nullptr)
-              << "missing global model for round " << r - 1;
-          round_broadcast =
-              std::make_unique<transport::EncodedModel>(*round_global);
-        }
-        for (int64_t retry = 0; retry < dropped[i]; ++retry) {
-          (void)TransferModel(transport::Direction::kDownlink, r, t, client,
-                              static_cast<uint32_t>(k_ + retry),
-                              *round_broadcast);
-        }
-        dropout_retries_ += dropped[i];
+      // A dropped attempt's work would be discarded and its retry redraws
+      // nothing, so the step above is the surviving attempt; what a drop
+      // costs is one re-broadcast of the round's start model per retry,
+      // over the wire like the original. Seqs start at K to stay distinct
+      // from the round-start slots. Mid-round pass entry skipped STEP 1, so
+      // the round's encoding may need building here.
+      const int64_t dropped = availability_.enabled()
+                                  ? availability_.DroppedAttempts(r, t, client)
+                                  : 0;
+      if (dropped > 0 && round_broadcast == nullptr) {
+        const Tensor* round_global = store_.GetGlobalModel(r - 1);
+        FATS_CHECK(round_global != nullptr)
+            << "missing global model for round " << r - 1;
+        round_broadcast =
+            std::make_unique<transport::EncodedModel>(*round_global);
       }
-      if (sink_ != nullptr) sink_->OnMinibatch(t, client, steps[i].batch);
-      store_.SaveMinibatch(t, client, std::move(steps[i].batch));
+      for (int64_t retry = 0; retry < dropped; ++retry) {
+        (void)TransferModel(transport::Direction::kDownlink, r, t, client,
+                            static_cast<uint32_t>(k_ + retry),
+                            *round_broadcast);
+      }
+      dropout_retries_ += dropped;
+      if (draw) RecordMinibatch(t, client, std::move(steps[i].batch));
       loss_sum += steps[i].loss;
       ++loss_count;
       ++local_iterations_executed_;
@@ -314,165 +390,11 @@ void FatsTrainer::Run(int64_t t0, int64_t t_end) {
       FATS_FAILPOINT("trainer.round.end");
     }
     FATS_FAILPOINT("trainer.iter.commit");
-    NotifyIterationComplete(t, t_max, TrainPassKind::kRun, loss_sum,
-                            loss_count);
+    NotifyIterationComplete(t, t_end, kind, loss_sum, loss_count);
   }
-  trained_through_ = std::max(trained_through_, t_max);
+  trained_through_ = std::max(trained_through_, t_end);
   // Leave the model holding the latest completed round's global parameters.
-  const Tensor* final_global = store_.GetGlobalModel(t_max / e);
-  if (final_global != nullptr) model_->SetParameters(*final_global);
-}
-
-void FatsTrainer::ReplayFrom(int64_t t0, int64_t t_end) {
-  const int64_t t_max = t_end;
-  const int64_t e = config_.local_iters_e;
-  FATS_CHECK(t0 >= 1 && t0 <= config_.total_iters_t())
-      << "t0 out of range: " << t0;
-  FATS_CHECK(t_end >= t0 && t_end <= config_.total_iters_t())
-      << "t_end out of range: " << t_end;
-
-  std::vector<int64_t> selection;
-  std::vector<int64_t> participants;
-  std::map<int64_t, Tensor> local_params;
-
-  const int64_t r0 = (t0 - 1) / e + 1;
-  const int64_t r0_start = (r0 - 1) * e + 1;
-  if (t0 != r0_start) {
-    const std::vector<int64_t>* stored = store_.GetClientSelection(r0);
-    FATS_CHECK(stored != nullptr) << "replay requires stored selection";
-    selection = *stored;
-    participants = UniqueClients(selection);
-    for (int64_t client : participants) {
-      const Tensor* theta = store_.GetLocalModel(t0 - 1, client);
-      FATS_CHECK(theta != nullptr)
-          << "replay missing local model (" << t0 - 1 << ", " << client
-          << ")";
-      local_params[client] = *theta;
-    }
-  }
-
-  // Consume-once recovery seed, mirroring Run (see comment there).
-  double loss_sum = resume_loss_sum_;
-  int64_t loss_count = resume_loss_count_;
-  resume_loss_sum_ = 0.0;
-  resume_loss_count_ = 0;
-  for (int64_t t = t0; t <= t_max; ++t) {
-    const int64_t r = (t - 1) / e + 1;
-    if (t == (r - 1) * e + 1) {
-      const std::vector<int64_t>* stored = store_.GetClientSelection(r);
-      FATS_CHECK(stored != nullptr)
-          << "replay missing selection for round " << r;
-      selection = *stored;
-      const Tensor* global = store_.GetGlobalModel(r - 1);
-      FATS_CHECK(global != nullptr)
-          << "replay missing global model for round " << r - 1;
-      // Replay re-broadcasts over the wire at the same addresses as Run,
-      // so a replayed pass reproduces the original ledger — retransmit
-      // counters included (the fault schedule is address-keyed).
-      const transport::EncodedModel broadcast(*global);
-      participants = UniqueClients(selection);
-      local_params.clear();
-      for (size_t slot = 0; slot < selection.size(); ++slot) {
-        const int64_t client = selection[slot];
-        local_params[client] =
-            TransferModel(transport::Direction::kDownlink, r, t, client,
-                          static_cast<uint32_t>(slot), broadcast);
-      }
-      loss_sum = 0.0;
-      loss_count = 0;
-    }
-
-    // Replay executes the stored mini-batches (no sampling), so the only
-    // frozen inputs are the batch pointers and start parameters; results
-    // commit in participant order exactly as in Run.
-    const size_t n_part = participants.size();
-    struct ReplayStep {
-      Tensor params;
-      double loss = 0.0;
-    };
-    std::vector<ReplayStep> steps(n_part);
-    std::vector<const std::vector<int64_t>*> batches(n_part);
-    std::vector<const Tensor*> start_params(n_part);
-    for (size_t i = 0; i < n_part; ++i) {
-      const int64_t client = participants[i];
-      batches[i] = store_.GetMinibatch(t, client);
-      FATS_CHECK(batches[i] != nullptr)
-          << "replay missing mini-batch (" << t << ", " << client << ")";
-      start_params[i] = &local_params.at(client);
-    }
-    // Same fused round-start pack as in Run: replay re-executes the exact
-    // schedule, so round starts have the identical all-participants-equal
-    // invariant. Keeping both passes on the same code path matters less
-    // for speed than for symmetry — but replay loops dominate unlearning
-    // cost, so they benefit the most.
-    const bool share_round_pack =
-        fused_round_pack_ && n_part > 0 && t == (r - 1) * e + 1;
-    if (share_round_pack) {
-      runner_.SetSharedWeights(*start_params[0]);
-    }
-    runner_.ForEachClient(
-        static_cast<int64_t>(n_part), [&](int64_t i, Model* m) {
-          const size_t s = static_cast<size_t>(i);
-          m->SetParameters(*start_params[s]);
-          ClientRuntime runtime(data_, m);
-          steps[s].loss = runtime.Step(participants[s], *batches[s],
-                                       config_.learning_rate);
-          steps[s].params = m->GetParameters();
-        });
-    if (share_round_pack) runner_.ClearSharedWeights();
-    for (size_t i = 0; i < n_part; ++i) {
-      const int64_t client = participants[i];
-      loss_sum += steps[i].loss;
-      ++loss_count;
-      ++local_iterations_executed_;
-      local_params[client] = std::move(steps[i].params);
-      store_.SaveLocalModel(t, client, local_params[client]);
-      if (sink_ != nullptr) sink_->OnLocalModel(t, client, local_params[client]);
-    }
-
-    if (t % e == 0) {
-      // Same wire order and reduction tree as the forward pass: replay must
-      // re-create the aggregate bit for bit.
-      std::vector<Tensor> slot_uploads;
-      slot_uploads.reserve(selection.size());
-      std::map<int64_t, transport::EncodedModel> uploads;
-      for (size_t slot = 0; slot < selection.size(); ++slot) {
-        const int64_t client = selection[slot];
-        auto it = uploads.find(client);
-        if (it == uploads.end()) {
-          it = uploads
-                   .emplace(client,
-                            transport::EncodedModel(local_params[client]))
-                   .first;
-        }
-        slot_uploads.push_back(TransferModel(transport::Direction::kUplink, r,
-                                             t, client,
-                                             static_cast<uint32_t>(slot),
-                                             it->second));
-      }
-      Tensor aggregate = state::TreeAggregate(slot_uploads, runner_.pool());
-      aggregate *= 1.0f / static_cast<float>(selection.size());
-      store_.SaveGlobalModel(r, aggregate);
-      comm_stats_.RecordRound();
-      model_->SetParameters(aggregate);
-      if (sink_ != nullptr) sink_->OnGlobalModel(r, aggregate);
-
-      RoundRecord record;
-      record.round = r;
-      record.test_accuracy = EvaluateTestAccuracy();
-      record.mean_local_loss =
-          loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
-      record.recomputation = recomputation_mode_;
-      log_.Append(record);
-      if (sink_ != nullptr) sink_->OnRoundRecord(record);
-      FATS_FAILPOINT("trainer.round.end");
-    }
-    FATS_FAILPOINT("trainer.iter.commit");
-    NotifyIterationComplete(t, t_max, TrainPassKind::kReplay, loss_sum,
-                            loss_count);
-  }
-  trained_through_ = std::max(trained_through_, t_max);
-  const Tensor* final_global = store_.GetGlobalModel(t_max / e);
+  const Tensor* final_global = store_.GetGlobalModel(t_end / e);
   if (final_global != nullptr) model_->SetParameters(*final_global);
 }
 

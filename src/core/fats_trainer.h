@@ -11,13 +11,25 @@
 // P^(t), B_k^(t), θ_k^(t), θ^(t) (the save(·) calls of Algorithm 1), plus
 // the earliest-use dictionaries for O(1) verification.
 //
-// Run(t0) implements the general entry point FATS(t0, T, E, η, ρ_S, ρ_C):
-// t0 = 1 is fresh training; a mid-round t0 reloads P^(t0) and the local
-// models θ_k^(t0−1) from the store (lines 3–5). Re-computation after a
-// deletion = BumpGeneration() + store truncation + Run(t_S): the generation
-// field makes every stream drawn in the suffix independent of the original
-// run, which realizes the fresh part of the coupling in Theorem 1, while
-// the untouched prefix realizes the reused part.
+// One pass loop executes every iteration, whatever the entry point. Its
+// only per-kind difference is where the sampling schedule comes from: a
+// *draw* pass (Run) samples each round's client multiset and each
+// participant's mini-batch from keyed streams and records them; a *replay*
+// pass (ReplayFrom) reads them back from the store. Mid-round entry,
+// broadcast, dropout retries, local steps, ordered commit, upload, tree
+// aggregate, round record and iteration mark are the same code for both,
+// so a replay of an unchanged history reproduces the model and the comm
+// ledger of the pass that recorded it.
+//
+// The trainer is also the only owner of the two Algorithm 1 draws and of
+// the two history rewrites the unlearners build on them:
+// SubstituteSampleUses (FATS-SU, Algorithm 2) and RedrawRoundsFrom
+// (FATS-CU, Algorithm 3). Every unlearning path is then
+//   validate → journal bracket → dataset removal → rewrite → ReplayFrom.
+// The generation bump inside each rewrite makes every stream drawn after it
+// independent of the original run, which realizes the fresh part of the
+// coupling in Theorem 1, while the untouched history realizes the reused
+// part.
 
 #ifndef FATS_CORE_FATS_TRAINER_H_
 #define FATS_CORE_FATS_TRAINER_H_
@@ -60,27 +72,51 @@ class FatsTrainer {
   ///   trainer.TrainUntil(T);        // continue on the reduced data
   void TrainUntil(int64_t t_end);
 
-  /// Runs iterations [t0, t_end] (Algorithm 1); the two-argument form
-  /// supports pausing mid-training (e.g. to serve an unlearning request at
-  /// time t_u and then continue on the reduced data). t0 must be in [1, T]
-  /// and t_end in [t0, T]. If t0 is not a round start, the round's client
-  /// selection and the local models at t0−1 are loaded from the store.
-  /// Client selections and mini-batches for [t0, t_end] are drawn fresh
-  /// (used by client-level re-computation, where the selection measure
-  /// itself changed).
+  /// Draw pass over iterations [t0, t_end] (Algorithm 1, FATS(t0, T, ...)):
+  /// client selections and mini-batches are drawn at the current
+  /// generation and recorded. The two-argument form supports pausing
+  /// mid-training. t0 must be in [1, T] and t_end in [t0, T]. If t0 is not
+  /// a round start, the round's client selection and the local models at
+  /// t0−1 are loaded from the store.
   void Run(int64_t t0) { Run(t0, config_.total_iters_t()); }
-  void Run(int64_t t0, int64_t t_end);
+  void Run(int64_t t0, int64_t t_end) { Pass(TrainPassKind::kRun, t0, t_end); }
 
-  /// Deterministically re-executes iterations [t0, t_end] against the
-  /// *stored* sampling history: client selections and mini-batches are
-  /// loaded from the store (which sample-level unlearning has partially
-  /// substituted), and only the model trajectory is recomputed. This
-  /// realizes the SU_r transport of Theorem 1's proof: the selection
-  /// history ν is unaffected by a sample deletion and must be reused, not
-  /// redrawn — redrawing it would bias the selection marginal and break
-  /// exactness.
+  /// Replay pass over iterations [t0, t_end]: the same loop as Run, but
+  /// client selections and mini-batches are read from the store (which a
+  /// history rewrite may have changed) and only the model trajectory is
+  /// recomputed. Dropout retries are charged exactly as in the pass that
+  /// recorded the history, so replaying an unchanged history reproduces
+  /// both its model and its comm ledger. This realizes the SU_r transport
+  /// of Theorem 1's proof: the selection history ν is unaffected by a
+  /// sample deletion and must be reused, not redrawn.
   void ReplayFrom(int64_t t0) { ReplayFrom(t0, trained_through_); }
-  void ReplayFrom(int64_t t0, int64_t t_end);
+  void ReplayFrom(int64_t t0, int64_t t_end) {
+    Pass(TrainPassKind::kReplay, t0, t_end);
+  }
+
+  /// What SubstituteSampleUses rewrote.
+  struct SampleRewrite {
+    /// Earliest substituted iteration, -1 when no batch used a sample.
+    int64_t first_iteration = -1;
+    /// Recorded mini-batches replaced with fresh draws.
+    int64_t batches = 0;
+  };
+
+  /// History rewrite for sample deletion (Algorithm 2): bumps the
+  /// generation once, then replaces every recorded mini-batch that uses a
+  /// sample of `deleted` with a fresh draw from the client's reduced active
+  /// set, through the event sink. The samples must already be removed from
+  /// the dataset. Computes no model; follow with ReplayFrom(first_iteration).
+  SampleRewrite SubstituteSampleUses(const std::vector<SampleRef>& deleted);
+
+  /// History rewrite for client removal (Algorithm 3): truncates the store
+  /// from the start of `round`, bumps the generation, and redraws the
+  /// client selections and mini-batches of rounds `round` through the one
+  /// holding trained_through(), exactly as a draw pass would, through the
+  /// event sink. The deletion must already be applied to the dataset.
+  /// Computes no model; follow with ReplayFrom(returned iteration).
+  /// Returns the first redrawn iteration, (round − 1)·E + 1.
+  int64_t RedrawRoundsFrom(int64_t round);
 
   /// Highest iteration executed so far (0 before training). Unlearning
   /// requests issued mid-training re-compute only up to this point;
@@ -116,40 +152,30 @@ class FatsTrainer {
   void set_event_sink(TrainEventSink* sink) { sink_ = sink; }
   TrainEventSink* event_sink() { return sink_; }
 
-  /// Truncates the store from `from_iter` onward (client-level unlearning),
-  /// notifying the event sink. Unlearners must use this instead of mutating
-  /// store() directly so the durable record stays consistent.
-  void TruncateStoreFromIteration(int64_t from_iter) {
-    store_.TruncateFromIteration(from_iter, config_.local_iters_e);
-    if (sink_ != nullptr) sink_->OnTruncate(from_iter);
-  }
+  /// Scoped unlearning-operation bracket, forwarded to the sink: Begin on
+  /// construction, End when the scope exits on any return path. Everything
+  /// in between is atomic under crash recovery; only a process crash skips
+  /// the End (std::_Exit skips destructors), so recovery rolls back exactly
+  /// the operations a crash interrupted.
+  class UnlearnBracket {
+   public:
+    explicit UnlearnBracket(FatsTrainer* trainer) : trainer_(trainer) {
+      if (trainer_->sink_ != nullptr) trainer_->sink_->OnUnlearnBegin();
+    }
+    ~UnlearnBracket() {
+      if (trainer_->sink_ != nullptr) trainer_->sink_->OnUnlearnEnd();
+    }
+    UnlearnBracket(const UnlearnBracket&) = delete;
+    UnlearnBracket& operator=(const UnlearnBracket&) = delete;
 
-  /// Replaces the stored mini-batch for (t, client) (sample-level
-  /// unlearning's substitution step), notifying the event sink.
-  void SubstituteMinibatch(int64_t t, int64_t client,
-                           std::vector<int64_t> indices) {
-    if (sink_ != nullptr) sink_->OnMinibatch(t, client, indices);
-    store_.SaveMinibatch(t, client, std::move(indices));
-  }
+   private:
+    FatsTrainer* trainer_;
+  };
 
-  /// Records the client multiset for `round` (the coalesced client-removal
-  /// path pre-draws selections exactly as Run would), notifying the event
-  /// sink so the durable record stays consistent.
-  void RecordClientSelection(int64_t round, std::vector<int64_t> multiset) {
-    if (sink_ != nullptr) sink_->OnClientSelection(round, multiset);
-    store_.SaveClientSelection(round, std::move(multiset));
-  }
-
-  /// Unlearning-operation brackets, forwarded to the sink. Everything
-  /// between Begin and End is atomic under crash recovery.
-  void NotifyUnlearnBegin() {
-    if (sink_ != nullptr) sink_->OnUnlearnBegin();
-  }
-  void NotifyUnlearnEnd() {
-    if (sink_ != nullptr) sink_->OnUnlearnEnd();
-  }
-
-  /// Dropped client executions retried so far (see fl/availability.h).
+  /// Dropped client executions retried so far (see fl/availability.h), in
+  /// draw and replay passes alike. A dropped attempt's work would be
+  /// discarded, so the pass computes the local step once and charges each
+  /// retry as one re-broadcast of the round's start model.
   int64_t dropout_retries() const { return dropout_retries_; }
 
   /// Transport deliveries that exhausted the retry budget and went through
@@ -199,6 +225,23 @@ class FatsTrainer {
   bool fused_round_pack() const { return fused_round_pack_; }
 
  private:
+  /// The single pass loop behind Run (kRun: draw the schedule) and
+  /// ReplayFrom (kReplay: read it from the store).
+  void Pass(TrainPassKind kind, int64_t t0, int64_t t_end);
+
+  /// Algorithm 1's two draws at the current generation: the client
+  /// multiset of `round`, and the mini-batch of `client` at iteration `t`
+  /// from its current active set. Pure functions of their stream keys and
+  /// the dataset, so a history rewrite reproduces exactly what a draw pass
+  /// would record. DrawMinibatch runs on pool workers during draw passes.
+  std::vector<int64_t> DrawClientSelection(int64_t round) const;
+  std::vector<int64_t> DrawMinibatch(int64_t t, int64_t client) const;
+
+  /// Save a drawn client multiset / mini-batch to the store and report it
+  /// to the event sink, so the durable record sees every draw.
+  void RecordClientSelection(int64_t round, std::vector<int64_t> multiset);
+  void RecordMinibatch(int64_t t, int64_t client, std::vector<int64_t> batch);
+
   /// Emits the iteration-commit mark for iteration `t` to the sink, if any.
   void NotifyIterationComplete(int64_t t, int64_t t_end, TrainPassKind pass,
                                double loss_sum, int64_t loss_count);

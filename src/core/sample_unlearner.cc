@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "fl/client.h"
 #include "util/stopwatch.h"
 
 namespace fats {
@@ -59,85 +58,33 @@ Result<UnlearningOutcome> SampleUnlearner::UnlearnBatch(
     }
   }
 
-  // Verification + affected-batch lookup via the inverted participation
-  // index: O(uses of the sample), not a scan over all T·clients records.
-  // The posting lists are copied into `affected_iters` because substitution
-  // below mutates them in place.
+  // Verification (O(1) per target via the inverted participation index):
+  // the Algorithm 2 trigger is the earliest recorded use at or before the
+  // request time.
   int64_t t_trigger = -1;
-  std::map<int64_t, std::set<int64_t>> affected_iters;
-  for (const auto& [client, removed] : removed_by_client) {
-    for (int64_t index : removed) {
-      SampleRef ref;
-      ref.client = client;
-      ref.index = index;
-      const std::vector<int64_t>* uses = trainer_->store().SampleUses(ref);
-      if (uses == nullptr) continue;
-      // Ascending list: front() is the earliest use (Algorithm 2 trigger
-      // when it falls at or before the request time).
-      if (uses->front() <= request_iter) {
-        t_trigger = (t_trigger == -1) ? uses->front()
-                                      : std::min(t_trigger, uses->front());
-      }
-      affected_iters[client].insert(uses->begin(), uses->end());
+  for (const SampleRef& target : targets) {
+    const int64_t first = trainer_->store().EarliestSampleUse(target);
+    if (first >= 1 && first <= request_iter) {
+      t_trigger = (t_trigger == -1) ? first : std::min(t_trigger, first);
     }
   }
 
   // Everything past this point mutates trainer state; bracket it as one
-  // atomic operation for the durable journal. Only a process crash skips
-  // the End (std::_Exit skips destructors), so recovery rolls back exactly
-  // the operations a crash interrupted.
-  trainer_->NotifyUnlearnBegin();
-  struct OpGuard {
-    FatsTrainer* trainer;
-    ~OpGuard() { trainer->NotifyUnlearnEnd(); }
-  } op_guard{trainer_};
+  // atomic operation for the durable journal.
+  FatsTrainer::UnlearnBracket bracket(trainer_);
 
   // The data holders erase the samples regardless of participation.
-  for (const auto& [client, removed] : removed_by_client) {
-    for (int64_t index : removed) {
-      SampleRef ref;
-      ref.client = client;
-      ref.index = index;
-      FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(ref));
-    }
+  for (const SampleRef& target : targets) {
+    FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(target));
   }
 
-  // Substitute every recorded mini-batch that references a deleted sample:
-  // a fresh draw from the reduced measure. (Batches after `request_iter`
-  // correspond to training that, at request time, had not happened yet;
-  // substituting them equals re-running that future training on the reduced
-  // data.) Each substitution goes through SaveMinibatch, which de-indexes
-  // the old batch — once the last referencing batch is replaced, the
-  // deleted sample's posting list empties out and its key disappears; no
-  // index rebuild is ever needed.
-  trainer_->BumpGeneration();
-  ClientRuntime runtime(trainer_->data(), trainer_->model());
-  int64_t t_first_substituted = -1;
-  for (const auto& [client, iters] : affected_iters) {
-    for (int64_t t : iters) {
-      StreamId id;
-      id.purpose = RngPurpose::kMinibatchSampling;
-      id.generation = trainer_->generation();
-      id.round = static_cast<uint64_t>((t - 1) / e + 1);
-      id.client = static_cast<uint64_t>(client);
-      id.iteration = static_cast<uint64_t>(t);
-      RngStream stream(trainer_->config().seed, id);
-      const int64_t batch_size = std::min<int64_t>(
-          trainer_->b(), trainer_->data()->num_active_samples(client));
-      if (batch_size <= 0) {
-        // Unreachable after the emptiness pre-check; kept as defense in
-        // depth so a future caller bug degrades to an error, not an abort.
-        return Status::FailedPrecondition(
-            "client has no active samples left to draw a substitute batch");
-      }
-      trainer_->SubstituteMinibatch(
-          t, client, runtime.SampleMinibatch(client, batch_size, &stream));
-      t_first_substituted = (t_first_substituted == -1)
-                                ? t
-                                : std::min(t_first_substituted, t);
-    }
-  }
-
+  // Substitute every recorded mini-batch that references a deleted sample
+  // with a fresh draw from the reduced measure. (Batches after
+  // `request_iter` correspond to training that, at request time, had not
+  // happened yet; substituting them equals re-running that future training
+  // on the reduced data.)
+  const int64_t t_first_substituted =
+      trainer_->SubstituteSampleUses(targets).first_iteration;
   if (t_first_substituted == -1) {
     // No recorded batch referenced a deleted sample: the retained state is
     // already exactly distributed as a fresh run on the reduced data.

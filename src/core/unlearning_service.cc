@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fl/client.h"
-#include "fl/server.h"
 #include "util/stopwatch.h"
 
 namespace fats {
@@ -87,122 +85,6 @@ UnlearningService::Triage UnlearningService::TriageRequest(
   return triage;
 }
 
-std::vector<int64_t> UnlearningService::UniqueClients(
-    const std::vector<int64_t>& multiset) const {
-  std::vector<uint8_t> seen(
-      static_cast<size_t>(trainer_->data()->num_clients()), 0);
-  std::vector<int64_t> unique;
-  unique.reserve(multiset.size());
-  for (int64_t k : multiset) {
-    uint8_t& flag = seen[static_cast<size_t>(k)];
-    if (flag == 0) {
-      flag = 1;
-      unique.push_back(k);
-    }
-  }
-  return unique;
-}
-
-Result<int64_t> UnlearningService::ApplySampleDeletion(
-    const SampleRef& target, int64_t t_max, ServiceFlushStats* stats) {
-  FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(target));
-
-  // Copy the posting list: substitution rewrites it in place (each replaced
-  // batch de-indexes the deleted sample; the list empties out as the loop
-  // runs).
-  std::vector<int64_t> uses;
-  if (const std::vector<int64_t>* posted = trainer_->store().SampleUses(target);
-      posted != nullptr) {
-    uses = *posted;
-  }
-
-  // Sequential processing bumps the generation once per request whether or
-  // not any batch is affected (SampleUnlearner does); mirror that exactly —
-  // later requests' draw keys depend on it.
-  trainer_->BumpGeneration();
-  if (uses.empty()) return -1;
-
-  const int64_t e = trainer_->config().local_iters_e;
-  ClientRuntime runtime(trainer_->data(), trainer_->model());
-  for (int64_t t : uses) {
-    StreamId id;
-    id.purpose = RngPurpose::kMinibatchSampling;
-    id.generation = trainer_->generation();
-    id.round = static_cast<uint64_t>((t - 1) / e + 1);
-    id.client = static_cast<uint64_t>(target.client);
-    id.iteration = static_cast<uint64_t>(t);
-    RngStream stream(trainer_->config().seed, id);
-    const int64_t batch_size = std::min<int64_t>(
-        trainer_->b(), trainer_->data()->num_active_samples(target.client));
-    if (batch_size <= 0) {
-      // Unreachable after Submit-time validation; defense in depth.
-      return Status::FailedPrecondition(
-          "client has no active samples left to draw a substitute batch");
-    }
-    trainer_->SubstituteMinibatch(
-        t, target.client,
-        runtime.SampleMinibatch(target.client, batch_size, &stream));
-  }
-  stats->substituted_batches += static_cast<int64_t>(uses.size());
-  stats->sequential_replayed_iterations += t_max - uses.front() + 1;
-  return uses.front();
-}
-
-Result<int64_t> UnlearningService::ApplyClientRemoval(
-    int64_t target, int64_t t_max, ServiceFlushStats* stats) {
-  // Earliest participation must be read before the removal-and-truncate;
-  // the truncation erases the client's postings.
-  const int64_t r_actual = trainer_->store().EarliestClientRound(target);
-  FATS_RETURN_NOT_OK(trainer_->data()->RemoveClient(target));
-  if (r_actual == -1) return -1;  // never selected: no rewrite, no bump
-
-  const int64_t e = trainer_->config().local_iters_e;
-  const int64_t t_restart = (r_actual - 1) * e + 1;
-  const int64_t r_last = (t_max + e - 1) / e;
-  trainer_->TruncateStoreFromIteration(t_restart);
-  trainer_->BumpGeneration();
-
-  // Redraw the truncated rounds' sampling history exactly as
-  // FatsTrainer::Run would — same stream addresses, same active-set state —
-  // but without computing any model. The single coalesced replay at the end
-  // of Flush supplies the model trajectory.
-  ClientRuntime runtime(trainer_->data(), trainer_->model());
-  for (int64_t r = r_actual; r <= r_last; ++r) {
-    StreamId sel_id;
-    sel_id.purpose = RngPurpose::kClientSampling;
-    sel_id.generation = trainer_->generation();
-    sel_id.round = static_cast<uint64_t>(r);
-    RngStream sel_stream(trainer_->config().seed, sel_id);
-    std::vector<int64_t> selection = ServerRuntime::SampleClientsWithReplacement(
-        *trainer_->data(), trainer_->K(), &sel_stream);
-    const std::vector<int64_t> participants = UniqueClients(selection);
-    trainer_->RecordClientSelection(r, std::move(selection));
-    const int64_t t_round_end = std::min(r * e, t_max);
-    for (int64_t t = (r - 1) * e + 1; t <= t_round_end; ++t) {
-      for (int64_t client : participants) {
-        StreamId batch_id;
-        batch_id.purpose = RngPurpose::kMinibatchSampling;
-        batch_id.generation = trainer_->generation();
-        batch_id.round = static_cast<uint64_t>(r);
-        batch_id.client = static_cast<uint64_t>(client);
-        batch_id.iteration = static_cast<uint64_t>(t);
-        RngStream stream(trainer_->config().seed, batch_id);
-        const int64_t batch_size = std::min<int64_t>(
-            trainer_->b(), trainer_->data()->num_active_samples(client));
-        if (batch_size <= 0) {
-          return Status::FailedPrecondition(
-              "client has no active samples left to draw a batch");
-        }
-        trainer_->SubstituteMinibatch(
-            t, client, runtime.SampleMinibatch(client, batch_size, &stream));
-      }
-    }
-  }
-  stats->redrawn_rounds += r_last - r_actual + 1;
-  stats->sequential_replayed_iterations += t_max - t_restart + 1;
-  return t_restart;
-}
-
 Result<ServiceFlushStats> UnlearningService::Flush() {
   ServiceFlushStats stats;
   if (queue_.empty()) return stats;
@@ -211,12 +93,13 @@ Result<ServiceFlushStats> UnlearningService::Flush() {
 
   // One durable-journal bracket around every mutation of the whole queue:
   // a crash mid-flush rolls the entire batch back, never half of it.
-  trainer_->NotifyUnlearnBegin();
-  struct OpGuard {
-    FatsTrainer* trainer;
-    ~OpGuard() { trainer->NotifyUnlearnEnd(); }
-  } op_guard{trainer_};
+  FatsTrainer::UnlearnBracket bracket(trainer_);
 
+  // Each request runs the same steps as SampleUnlearner / ClientUnlearner
+  // (dataset removal, then the trainer's history rewrite), in submit order,
+  // so the final sampling history is bit-for-bit the sequential one. Only
+  // the model replay is deferred and shared.
+  const int64_t e = trainer_->config().local_iters_e;
   int64_t min_restart = -1;
   for (const UnlearningRequest& request : queue_) {
     ++stats.requests;
@@ -224,14 +107,24 @@ Result<ServiceFlushStats> UnlearningService::Flush() {
     int64_t restart = -1;
     if (request.kind == UnlearningRequest::Kind::kSample) {
       ++stats.sample_requests;
-      FATS_ASSIGN_OR_RETURN(restart,
-                            ApplySampleDeletion(request.sample, t_max, &stats));
+      FATS_RETURN_NOT_OK(trainer_->data()->RemoveSample(request.sample));
+      const FatsTrainer::SampleRewrite rewrite =
+          trainer_->SubstituteSampleUses({request.sample});
+      stats.substituted_batches += rewrite.batches;
+      restart = rewrite.first_iteration;
     } else {
       ++stats.client_requests;
-      FATS_ASSIGN_OR_RETURN(restart,
-                            ApplyClientRemoval(request.client, t_max, &stats));
+      // Read before the rewrite's truncation erases the client's postings.
+      const int64_t r_actual =
+          trainer_->store().EarliestClientRound(request.client);
+      FATS_RETURN_NOT_OK(trainer_->data()->RemoveClient(request.client));
+      if (r_actual != -1) {  // never selected: no rewrite, no bump
+        restart = trainer_->RedrawRoundsFrom(r_actual);
+        stats.redrawn_rounds += (t_max + e - 1) / e - r_actual + 1;
+      }
     }
     if (restart != -1) {
+      stats.sequential_replayed_iterations += t_max - restart + 1;
       min_restart = (min_restart == -1) ? restart
                                         : std::min(min_restart, restart);
     }

@@ -9,17 +9,20 @@
 // mirroring sequential processing exactly — and performs at most ONE model
 // replay, from the earliest iteration any pending request affected.
 //
-// Why one replay is exact: every history rewrite a request induces is
-// model-independent. A sample deletion substitutes the affected recorded
-// mini-batches with fresh draws keyed by (seed, generation, round, client,
-// iteration) and the reduced active set; a client removal truncates the
-// store and redraws client selections and mini-batches for the truncated
-// rounds with the same stream keys Run would use. Neither consults model
-// parameters. Processing the queue in order therefore produces bit-for-bit
-// the same final sampling history as running the unlearners sequentially —
-// and the final model is a deterministic function of that history, computed
-// by a single ReplayFrom(earliest affected iteration) instead of one replay
-// per request. (Communication counters differ: that saving is the point.)
+// Why one replay is exact: every request runs the same history rewrite as
+// the single-request unlearners, FatsTrainer::SubstituteSampleUses for a
+// sample deletion and FatsTrainer::RedrawRoundsFrom for a client removal,
+// and neither rewrite consults model parameters. A substitution redraws the
+// affected recorded mini-batches from the reduced active set; a redraw
+// truncates the store from the client's first participating round and
+// redraws those rounds' selections and mini-batches, exactly as a draw pass
+// would. Both draw from streams keyed by (seed, generation, round, client,
+// iteration) after a per-request generation bump. Processing the queue in
+// order therefore produces bit-for-bit the same final sampling history as
+// running the unlearners sequentially — and the final model is a
+// deterministic function of that history, computed by a single
+// ReplayFrom(earliest affected iteration) instead of one replay per
+// request. (Communication counters differ: that saving is the point.)
 //
 // Queue semantics: Submit validates against the *pending* state — the
 // dataset as it will be once the queue flushes — so a request that would
@@ -141,24 +144,6 @@ class UnlearningService {
       return static_cast<size_t>(h);
     }
   };
-
-  /// First-occurrence-order unique clients of a selection multiset
-  /// (mirrors FatsTrainer::UniqueClients; the order fixes the reduction
-  /// order during replay).
-  std::vector<int64_t> UniqueClients(const std::vector<int64_t>& multiset) const;
-
-  /// Applies one sample deletion: removes the sample, bumps the
-  /// generation, substitutes every affected recorded batch via the
-  /// inverted index. Returns the first substituted iteration or -1.
-  Result<int64_t> ApplySampleDeletion(const SampleRef& target,
-                                      int64_t t_max, ServiceFlushStats* stats);
-
-  /// Applies one client removal: removes the client; when it participated,
-  /// truncates the store, bumps the generation, and redraws the truncated
-  /// rounds' selections and mini-batches exactly as Run would. Returns the
-  /// restart iteration or -1.
-  Result<int64_t> ApplyClientRemoval(int64_t target, int64_t t_max,
-                                     ServiceFlushStats* stats);
 
   FatsTrainer* trainer_;
   std::vector<UnlearningRequest> queue_;

@@ -133,6 +133,36 @@ TEST(CompactUnlearnerTest, ErrorsOnInvalidTargets) {
   EXPECT_FALSE(unlearner.UnlearnSample({0, 999}, 1).ok());
 }
 
+// Requests the retrain could not honour are refused before the dataset is
+// touched, with the unlearners' FailedPrecondition, instead of aborting
+// inside the retrain.
+TEST(CompactUnlearnerTest, RemovingTheLastActiveClientIsRefused) {
+  Trained t = TrainTiny(3);
+  CompactUnlearner unlearner(t.trainer.get());
+  const int64_t t_max = t.config.total_iters_t();
+  ASSERT_TRUE(unlearner.UnlearnClient(0, t_max).ok());
+  ASSERT_TRUE(unlearner.UnlearnClient(1, t_max).ok());
+  const Tensor before = t.trainer->global_params();
+  Result<UnlearningOutcome> last = unlearner.UnlearnClient(2, t_max);
+  EXPECT_EQ(last.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(t.data.client_active(2));
+  EXPECT_TRUE(t.trainer->global_params().BitwiseEquals(before));
+}
+
+TEST(CompactUnlearnerTest, EmptyingAClientIsRefused) {
+  Trained t = TrainTiny(2, 4);
+  CompactUnlearner unlearner(t.trainer.get());
+  const int64_t t_max = t.config.total_iters_t();
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(unlearner.UnlearnSample({0, i}, t_max).ok()) << i;
+  }
+  const Tensor before = t.trainer->global_params();
+  Result<UnlearningOutcome> last = unlearner.UnlearnSample({0, 3}, t_max);
+  EXPECT_EQ(last.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(t.data.sample_active(0, 3));
+  EXPECT_TRUE(t.trainer->global_params().BitwiseEquals(before));
+}
+
 TEST(CompactUnlearnerTest, RetrainedModelKeepsUtility) {
   Trained t = TrainTiny(12, 12, 10, 3);
   const double before = t.trainer->EvaluateTestAccuracy();

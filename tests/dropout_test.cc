@@ -209,6 +209,49 @@ TEST(DropoutTest, UnlearningOnDroppedRunMatchesNoDropout) {
       clean.trainer->global_params()));
 }
 
+// Draw and replay passes run one loop, so replaying an unchanged history
+// must repeat the recorded pass exactly: the same model bits and the same
+// comm ledger, dropout re-broadcasts and wire retransmits included.
+void ExpectReplayRepeatsTrainLedger(Env* env) {
+  FatsTrainer& trainer = *env->trainer;
+  trainer.Train();
+  const Tensor trained = trainer.global_params();
+  const CommStats train = trainer.comm_stats();
+  const int64_t train_retries = trainer.dropout_retries();
+
+  trainer.ReplayFrom(1);
+  EXPECT_TRUE(trainer.global_params().BitwiseEquals(trained));
+  const CommStats& both = trainer.comm_stats();
+  EXPECT_EQ(both.downlink_bytes(), 2 * train.downlink_bytes());
+  EXPECT_EQ(both.uplink_bytes(), 2 * train.uplink_bytes());
+  EXPECT_EQ(both.downlink_messages(), 2 * train.downlink_messages());
+  EXPECT_EQ(both.uplink_messages(), 2 * train.uplink_messages());
+  EXPECT_EQ(both.retransmits(), 2 * train.retransmits());
+  EXPECT_EQ(both.retransmit_bytes(), 2 * train.retransmit_bytes());
+  EXPECT_EQ(trainer.dropout_retries(), 2 * train_retries);
+}
+
+TEST(DropoutTest, ReplayRepeatsTrainLedgerWithoutDropout) {
+  Env env = MakeEnv(0.0);
+  ExpectReplayRepeatsTrainLedger(&env);
+  EXPECT_EQ(env.trainer->dropout_retries(), 0);
+}
+
+TEST(DropoutTest, ReplayRepeatsTrainLedgerUnderDropout) {
+  Env env = MakeEnv(0.3);
+  ExpectReplayRepeatsTrainLedger(&env);
+  EXPECT_GT(env.trainer->dropout_retries(), 0);
+}
+
+TEST(DropoutTest, ReplayRepeatsTrainLedgerOnLossyWire) {
+  Env env = MakeEnv(0.0);
+  env.config.transport_fault_spec = "drop=0.2,corrupt=0.05";
+  env.trainer =
+      std::make_unique<FatsTrainer>(TinyModelSpec(), env.config, &env.data);
+  ExpectReplayRepeatsTrainLedger(&env);
+  EXPECT_GT(env.trainer->comm_stats().retransmits(), 0);
+}
+
 TEST(DropoutTest, DifferentAvailabilitySeedsStillConverge) {
   // Changing only the availability seed changes which attempts drop but
   // not the computed trajectory.

@@ -618,6 +618,53 @@ TEST(AnalyzeStoreMutation, SuppressionDowngrades) {
   EXPECT_TRUE(HasRule(r, kRuleStoreMutationBypass, /*suppressed=*/true));
 }
 
+// --- Rule fixtures: sampling-draw-owner ---
+
+TEST(AnalyzeSamplingDrawOwner, HandCopiedMinibatchDrawInCoreFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/sample_unlearner.cc",
+      "void F(StreamId id) {\n"
+      "  id.purpose = RngPurpose::kMinibatchSampling;\n"
+      "}\n");
+  EXPECT_TRUE(HasRule(r, kRuleSamplingDrawOwner));
+}
+
+TEST(AnalyzeSamplingDrawOwner, HandCopiedSelectionDrawInCoreFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/unlearning_service.cc",
+      "void G(StreamId* id) { id->purpose = RngPurpose::kClientSampling; }\n");
+  EXPECT_TRUE(HasRule(r, kRuleSamplingDrawOwner));
+}
+
+TEST(AnalyzeSamplingDrawOwner, TrainerOtherPurposesAndOtherLayersAreClean) {
+  const std::string draw =
+      "void F(StreamId id) {\n"
+      "  id.purpose = RngPurpose::kClientSampling;\n"
+      "  id.purpose = RngPurpose::kMinibatchSampling;\n"
+      "}\n";
+  // The trainer owns the draws; FedAvg and FR2 are other algorithms.
+  for (const char* path : {"src/core/fats_trainer.cc", "src/fl/fedavg.cc",
+                           "src/baselines/fr2.cc"}) {
+    EXPECT_FALSE(HasRule(AnalyzeOne(path, draw), kRuleSamplingDrawOwner))
+        << path;
+  }
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/client_unlearner.cc",
+      "void G(StreamId id) { id.purpose = RngPurpose::kEvaluation; }\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+}
+
+TEST(AnalyzeSamplingDrawOwner, SuppressionDowngrades) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/x.cc",
+      "void F(StreamId id) {\n"
+      "  id.purpose = RngPurpose::kMinibatchSampling;  "
+      "// fats-lint: allow(sampling-draw-owner)\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+  EXPECT_TRUE(HasRule(r, kRuleSamplingDrawOwner, /*suppressed=*/true));
+}
+
 // --- Rule fixtures: raw-wire ---
 
 TEST(AnalyzeRawWire, FrameCodecInCoreFires) {

@@ -43,7 +43,13 @@
 //                      TruncateFromIteration, Clear) called on the trainer's
 //                      store from src/core outside fats_trainer itself: the
 //                      mutation skips the durable event sink and must go
-//                      through the trainer's wrapper API instead.
+//                      through the trainer's history rewrites instead.
+//   sampling-draw-owner
+//                      RngPurpose::kClientSampling / kMinibatchSampling
+//                      named in src/core outside fats_trainer itself: the
+//                      trainer owns Algorithm 1's two draws, and a
+//                      hand-copied draw drifts from what a draw pass
+//                      records.
 //   raw-wire           a frame codec (EncodeFrame/Decode*Payload/...), ring
 //                      buffer primitive (PushFrame/PopFrame), or POSIX
 //                      socket call outside src/transport within src/core,
@@ -89,6 +95,7 @@ inline constexpr const char kRuleLayerOrder[] = "layer-order";
 inline constexpr const char kRuleLayerCycle[] = "layer-cycle";
 inline constexpr const char kRuleStoreMutationBypass[] =
     "store-mutation-bypass";
+inline constexpr const char kRuleSamplingDrawOwner[] = "sampling-draw-owner";
 inline constexpr const char kRuleRawWire[] = "raw-wire";
 inline constexpr const char kRuleTileOverlap[] = "tile-overlap";
 inline constexpr const char kRuleResidentHistory[] = "resident-history";
@@ -128,6 +135,8 @@ void CheckFailpointCoverage(const FileModel& model,
 void CheckStatusDiscipline(const FileModel& model, const AnalysisIndex& index,
                            std::vector<lint::Finding>* findings);
 void CheckStoreMutation(const FileModel& model,
+                        std::vector<lint::Finding>* findings);
+void CheckDrawOwnership(const FileModel& model,
                         std::vector<lint::Finding>* findings);
 void CheckWireDiscipline(const FileModel& model,
                          std::vector<lint::Finding>* findings);

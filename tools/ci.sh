@@ -132,22 +132,28 @@ echo "=== [7/8] tsan smoke (parallel-execution tests) ==="
 # async journal's WriterThread handoff, so both are race-checked on every
 # preset, not just the full tsan leg. transport_test rides along for the
 # LocalTransport blocking producer/consumer pair (the wire's only
-# cross-thread handoff). die_after_fork=0: the crash-matrix children
-# deliberately start a writer thread after fork (sanctioned — each child
-# owns its process), which TSan otherwise refuses.
+# cross-thread handoff). dropout_test (3-thread dropped runs) and
+# state_exactness_test (4 threads over spilled state) cover the trainer's
+# pass loop, which draws mini-batches on the workers and keeps dropout
+# bookkeeping in both draw and replay passes. die_after_fork=0: the
+# crash-matrix children deliberately start a writer thread after fork
+# (sanctioned — each child owns its process), which TSan otherwise refuses.
 if [[ "$PRESET" == "tsan" ]]; then
   echo "tsan smoke: preset is already tsan; full suite covered above"
 else
   cmake --preset tsan
   cmake --build --preset tsan -j "$JOBS" \
     --target thread_pool_test parallel_exactness_test \
-    kernel_contract_test crash_matrix_test transport_test
+    kernel_contract_test crash_matrix_test transport_test dropout_test \
+    state_exactness_test
   # Run the binaries directly: only these targets are built, so the
   # build-tsan ctest manifest is incomplete.
   build-tsan/tests/thread_pool_test
   build-tsan/tests/parallel_exactness_test
   build-tsan/tests/kernel_contract_test
   build-tsan/tests/transport_test
+  build-tsan/tests/dropout_test
+  build-tsan/tests/state_exactness_test
   TSAN_OPTIONS="die_after_fork=0" build-tsan/tests/crash_matrix_test
 fi
 
