@@ -18,6 +18,7 @@
 #include "baselines/frs.h"
 #include "bench_util.h"
 #include "core/unlearning_executor.h"
+#include "metrics/evaluation.h"
 #include "metrics/unlearning_metrics.h"
 #include "util/flags.h"
 
@@ -28,9 +29,18 @@ using bench::FedAvgOptionsFromProfile;
 
 struct ScenarioResult {
   TrainLog log;
-  size_t request_index = 0;  // first post-unlearning record
+  std::vector<double> accuracy;  // test accuracy, one per log record
+  size_t request_index = 0;      // first post-unlearning record
   int64_t recomputed_rounds = 0;
 };
+
+/// Observes every FedAvg round as it completes: the baselines keep only
+/// their current model, so their curve is read while each round is fresh.
+void ObserveAccuracy(FedAvgTrainer* trainer, ScenarioResult* result) {
+  trainer->set_round_observer([trainer, result](const RoundRecord&) {
+    result->accuracy.push_back(trainer->EvaluateTestAccuracy());
+  });
+}
 
 /// The round at which the unlearning request is issued: ~60% into
 /// training, where accuracy has stabilized (the paper's protocol).
@@ -49,6 +59,9 @@ ScenarioResult RunFats(const DatasetProfile& profile, bool client_level,
   trainer.TrainUntil(t_issue);
   ScenarioResult result;
   result.request_index = trainer.log().records().size();
+  // The FATS curve is read from the stored θ^(r): the pre-request rounds
+  // now, before the request rewrites their history, the rest at the end.
+  result.accuracy = StoredRoundAccuracies(trainer);
   UnlearningExecutor executor(&trainer);
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
@@ -68,6 +81,9 @@ ScenarioResult RunFats(const DatasetProfile& profile, bool client_level,
                   .value();
   }
   trainer.TrainUntil(config.total_iters_t());
+  const std::vector<double> after =
+      StoredRoundAccuracies(trainer, result.request_index);
+  result.accuracy.insert(result.accuracy.end(), after.begin(), after.end());
   result.recomputed_rounds = summary.total_recomputed_rounds;
   result.log = trainer.log();
   return result;
@@ -78,8 +94,9 @@ ScenarioResult RunFrs(const DatasetProfile& profile, bool client_level,
   FederatedDataset data = BuildFederatedData(profile, seed);
   FedAvgTrainer trainer(profile.model,
                         FedAvgOptionsFromProfile(profile, seed), &data);
-  trainer.RunRounds(IssueRound(profile));
   ScenarioResult result;
+  ObserveAccuracy(&trainer, &result);
+  trainer.RunRounds(IssueRound(profile));
   result.request_index = trainer.log().records().size();
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
@@ -107,8 +124,9 @@ ScenarioResult RunFr2(const DatasetProfile& profile, bool client_level,
   FederatedDataset data = BuildFederatedData(profile, seed);
   FedAvgTrainer trainer(profile.model,
                         FedAvgOptionsFromProfile(profile, seed), &data);
-  trainer.RunRounds(IssueRound(profile));
   ScenarioResult result;
+  ObserveAccuracy(&trainer, &result);
+  trainer.RunRounds(IssueRound(profile));
   result.request_index = trainer.log().records().size();
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
@@ -138,7 +156,7 @@ void EmitScenario(CsvWriter* csv, const std::string& dataset,
                   const std::string& scenario, const std::string& method,
                   const ScenarioResult& result) {
   RecoveryMetrics recovery =
-      AnalyzeRecovery(result.log, result.request_index);
+      AnalyzeRecovery(result.accuracy, result.request_index);
   std::printf(
       "  %-6s %-7s: acc %.3f -> %.3f (drop %.3f), recomputed %lld rounds, "
       "recover in %lld, final %.3f\n",
@@ -151,7 +169,7 @@ void EmitScenario(CsvWriter* csv, const std::string& dataset,
   for (size_t i = 0; i < records.size(); ++i) {
     csv->WriteRow({dataset, scenario, method, std::to_string(i),
                    std::to_string(records[i].round),
-                   FormatDouble(records[i].test_accuracy, 4),
+                   FormatDouble(result.accuracy[i], 4),
                    records[i].recomputation ? "post" : "pre"});
   }
 }

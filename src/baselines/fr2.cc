@@ -157,11 +157,10 @@ void Fr2Unlearner::RecoveryRound(int64_t round) {
 
   RoundRecord record;
   record.round = trainer_->rounds_completed() + round;
-  record.test_accuracy = trainer_->EvaluateTestAccuracy();
   record.mean_local_loss =
       loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
   record.recomputation = true;
-  trainer_->mutable_log()->Append(record);
+  trainer_->AppendRound(record);
 }
 
 }  // namespace fats

@@ -376,12 +376,12 @@ void FatsTrainer::Pass(TrainPassKind kind, int64_t t0, int64_t t_end) {
       aggregate *= 1.0f / static_cast<float>(selection.size());
       store_.SaveGlobalModel(r, aggregate);
       comm_stats_.RecordRound();
-      model_->SetParameters(aggregate);
       if (sink_ != nullptr) sink_->OnGlobalModel(r, aggregate);
 
+      // Test accuracy is not part of training: readers compute it from the
+      // stored θ^(r) (metrics/evaluation.h).
       RoundRecord record;
       record.round = r;
-      record.test_accuracy = EvaluateTestAccuracy();
       record.mean_local_loss =
           loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
       record.recomputation = recomputation_mode_;

@@ -123,7 +123,12 @@ class FatsTrainer {
   /// Run(trained_through()+1, ...) continues training afterwards.
   int64_t trained_through() const { return trained_through_; }
 
+  /// Test accuracy of the trainer's model: the global model of the latest
+  /// round the last pass completed. Passes never call it; the accuracy of
+  /// any stored round is read with StoredRoundAccuracies
+  /// (metrics/evaluation.h).
   double EvaluateTestAccuracy();
+  const Batch& test_batch() const { return test_batch_; }
 
   Tensor global_params() { return model_->GetParameters(); }
 
@@ -133,6 +138,7 @@ class FatsTrainer {
   TrainLog* mutable_log() { return &log_; }
   CommStats& comm_stats() { return comm_stats_; }
   const FatsConfig& config() const { return config_; }
+  const ModelSpec& spec() const { return spec_; }
   Model* model() { return model_.get(); }
   FederatedDataset* data() { return data_; }
 

@@ -145,13 +145,17 @@ void FedAvgTrainer::RunRounds(int64_t num_rounds) {
 
     RoundRecord record;
     record.round = round;
-    record.test_accuracy = EvaluateTestAccuracy();
     record.mean_local_loss =
         loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
     record.recomputation = recomputation_mode_;
-    log_.Append(record);
+    AppendRound(record);
     FATS_FAILPOINT("fedavg.round.end");
   }
+}
+
+void FedAvgTrainer::AppendRound(const RoundRecord& record) {
+  log_.Append(record);
+  if (round_observer_) round_observer_(record);
 }
 
 void FedAvgTrainer::ResetModel(uint64_t init_seed) {

@@ -12,6 +12,7 @@
 #define FATS_FL_FEDAVG_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,9 +52,23 @@ class FedAvgTrainer {
                 const FederatedDataset* data);
 
   /// Runs `num_rounds` additional rounds, continuing the round counter.
-  /// Each executed round is evaluated and appended to the log; rounds run
-  /// while `recomputation_mode` is set are flagged in the log.
+  /// Each executed round is appended to the log; rounds run while
+  /// `recomputation_mode` is set are flagged in the log. No round is
+  /// evaluated: a caller that plots accuracy sets a round observer.
   void RunRounds(int64_t num_rounds);
+
+  /// Called once per round appended to the log (by RunRounds and by the
+  /// unlearning baselines' own rounds), after the round's global model is
+  /// in place — the one point where a curve can observe it, e.g. through
+  /// EvaluateTestAccuracy(). Observing must not change the model. Pass an
+  /// empty function to detach.
+  using RoundObserver = std::function<void(const RoundRecord&)>;
+  void set_round_observer(RoundObserver observer) {
+    round_observer_ = std::move(observer);
+  }
+
+  /// Appends a completed round to the log and notifies the observer.
+  void AppendRound(const RoundRecord& record);
 
   /// Re-initializes the model from `init_seed` and resets the round counter
   /// (history and communication stats are kept — they accumulate total cost,
@@ -69,7 +84,6 @@ class FedAvgTrainer {
 
   int64_t rounds_completed() const { return rounds_completed_; }
   const TrainLog& log() const { return log_; }
-  TrainLog* mutable_log() { return &log_; }
   CommStats& comm_stats() { return comm_stats_; }
   Model* model() { return model_.get(); }
   const FederatedDataset* data() const { return data_; }
@@ -116,6 +130,7 @@ class FedAvgTrainer {
   std::unique_ptr<transport::ReliableChannel> channel_;
   ParallelClientRunner runner_;
   TrainLog log_;
+  RoundObserver round_observer_;
   CommStats comm_stats_;
 };
 

@@ -4,6 +4,25 @@
 #include "util/string_util.h"
 
 namespace fats {
+namespace {
+
+std::vector<std::string> CsvHeader(bool with_accuracy) {
+  if (with_accuracy) {
+    return {"round", "test_accuracy", "mean_local_loss", "recomputation"};
+  }
+  return {"round", "mean_local_loss", "recomputation"};
+}
+
+// `accuracy` is null when the CSV has no accuracy column.
+std::vector<std::string> CsvRow(const RoundRecord& r, const double* accuracy) {
+  std::vector<std::string> row = {StrFormat("%lld", (long long)r.round)};
+  if (accuracy != nullptr) row.push_back(StrFormat("%.6f", *accuracy));
+  row.push_back(StrFormat("%.6f", r.mean_local_loss));
+  row.push_back(r.recomputation ? "1" : "0");
+  return row;
+}
+
+}  // namespace
 
 int64_t TrainLog::TrailingRecomputationRounds() const {
   int64_t count = 0;
@@ -14,35 +33,28 @@ int64_t TrainLog::TrailingRecomputationRounds() const {
   return count;
 }
 
-int64_t TrainLog::RoundsToReach(double target, size_t from_index) const {
-  for (size_t i = from_index; i < records_.size(); ++i) {
-    if (records_[i].test_accuracy >= target) {
-      return static_cast<int64_t>(i - from_index) + 1;
-    }
-  }
-  return -1;
-}
-
 std::string TrainLog::ToCsv() const {
-  std::string out = "round,test_accuracy,mean_local_loss,recomputation\n";
+  std::string out = StrJoin(CsvHeader(/*with_accuracy=*/false), ",");
+  out += "\n";
   for (const RoundRecord& r : records_) {
-    out += StrFormat("%lld,%.6f,%.6f,%d\n", (long long)r.round,
-                     r.test_accuracy, r.mean_local_loss,
-                     r.recomputation ? 1 : 0);
+    out += StrJoin(CsvRow(r, nullptr), ",");
+    out += "\n";
   }
   return out;
 }
 
-Status TrainLog::WriteCsvFile(const std::string& path) const {
+Status TrainLog::WriteCsvFile(const std::string& path,
+                              const std::vector<double>& test_accuracy) const {
+  if (!test_accuracy.empty() && test_accuracy.size() != records_.size()) {
+    return Status::InvalidArgument("accuracy series does not match the log");
+  }
   CsvWriter writer(path);
   FATS_RETURN_NOT_OK(writer.status());
-  writer.WriteHeader(
-      {"round", "test_accuracy", "mean_local_loss", "recomputation"});
-  for (const RoundRecord& r : records_) {
-    writer.WriteRow({StrFormat("%lld", (long long)r.round),
-                     StrFormat("%.6f", r.test_accuracy),
-                     StrFormat("%.6f", r.mean_local_loss),
-                     r.recomputation ? "1" : "0"});
+  writer.WriteHeader(CsvHeader(!test_accuracy.empty()));
+  for (size_t i = 0; i < records_.size(); ++i) {
+    const double* accuracy =
+        test_accuracy.empty() ? nullptr : &test_accuracy[i];
+    writer.WriteRow(CsvRow(records_[i], accuracy));
   }
   return writer.Finish();
 }

@@ -1,4 +1,10 @@
 // Per-round training history shared by all trainers.
+//
+// A record holds what a round computes as part of training: its number, the
+// mean local loss and whether it was an unlearning re-computation. Test
+// accuracy is not recorded: it is an observation of the round's global
+// model, computed on read by whoever plots it (metrics/evaluation.h for
+// FATS, a FedAvgTrainer round observer for the baselines).
 
 #ifndef FATS_FL_TRAIN_LOG_H_
 #define FATS_FL_TRAIN_LOG_H_
@@ -13,7 +19,6 @@ namespace fats {
 
 struct RoundRecord {
   int64_t round = 0;          // global round counter (1-based)
-  double test_accuracy = 0.0;
   double mean_local_loss = 0.0;
   /// True for rounds that were (re-)executed as part of unlearning
   /// re-computation rather than the original training pass.
@@ -27,24 +32,19 @@ class TrainLog {
   bool empty() const { return records_.empty(); }
   void Clear() { records_.clear(); }
 
-  /// Latest recorded test accuracy (0 if none).
-  double LastAccuracy() const {
-    return records_.empty() ? 0.0 : records_.back().test_accuracy;
-  }
-
   /// Number of trailing records flagged as re-computation (the unlearning
   /// cost in rounds for the most recent request).
   int64_t TrailingRecomputationRounds() const;
 
-  /// Rounds needed (counting from `from_index` in the record list) until
-  /// test accuracy first reaches `target`. Returns -1 if never reached.
-  int64_t RoundsToReach(double target, size_t from_index) const;
-
+  /// CSV rendering: round, mean_local_loss, recomputation.
   std::string ToCsv() const;
 
-  /// Writes the CSV rendering to `path`, propagating write/flush failures
-  /// (a full disk surfaces as kIoError, not a silently truncated file).
-  Status WriteCsvFile(const std::string& path) const;
+  /// Writes the ToCsv rendering to `path`, propagating write/flush failures
+  /// (a full disk surfaces as kIoError, not a silently truncated file). A
+  /// non-empty `test_accuracy` holds one value per record, computed on read
+  /// by the caller, and is written as a test_accuracy column after round.
+  Status WriteCsvFile(const std::string& path,
+                      const std::vector<double>& test_accuracy = {}) const;
 
  private:
   std::vector<RoundRecord> records_;

@@ -18,9 +18,11 @@ constexpr char kMagic[] = "FATSCKPT";
 // (client selections, mini-batches) as history-codec blobs
 // (state/history_codec.h) instead of raw i64 vectors — the same
 // bit-specified compression the tiered store uses, so checkpoints shrink
-// with the history and decode bit-exactly.
+// with the history and decode bit-exactly. Version 6 drops the per-round
+// test accuracy from the round log: it is computed on read from the stored
+// global models.
 constexpr char kFooter[] = "FATSEND.";
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 
 // Upper bound on the element count of any single checkpointed tensor.
 // Shapes whose volume exceeds it (or overflows int64_t) are corrupt: the
@@ -141,7 +143,6 @@ Status WriteCheckpointFile(FatsTrainer* trainer, const std::string& path,
   writer.WriteU64(records.size());
   for (const RoundRecord& record : records) {
     writer.WriteI64(record.round);
-    writer.WriteDouble(record.test_accuracy);
     writer.WriteDouble(record.mean_local_loss);
     writer.WriteU32(record.recomputation ? 1 : 0);
   }
@@ -274,7 +275,6 @@ Status LoadTrainerCheckpoint(const std::string& path, FatsTrainer* trainer,
   for (uint64_t i = 0; i < num_records; ++i) {
     RoundRecord record;
     FATS_ASSIGN_OR_RETURN(record.round, reader.ReadI64());
-    FATS_ASSIGN_OR_RETURN(record.test_accuracy, reader.ReadDouble());
     FATS_ASSIGN_OR_RETURN(record.mean_local_loss, reader.ReadDouble());
     FATS_ASSIGN_OR_RETURN(uint32_t recompute, reader.ReadU32());
     record.recomputation = recompute != 0;

@@ -320,7 +320,6 @@ Result<std::unique_ptr<DurableTrainingSession>> DurableTrainingSession::Open(
       case Tag::kRoundRecord: {
         RoundRecord record;
         FATS_ASSIGN_OR_RETURN(record.round, r.I64());
-        FATS_ASSIGN_OR_RETURN(record.test_accuracy, r.F64());
         FATS_ASSIGN_OR_RETURN(record.mean_local_loss, r.F64());
         FATS_ASSIGN_OR_RETURN(uint8_t recomp, r.U8());
         record.recomputation = recomp != 0;
@@ -515,7 +514,6 @@ void DurableTrainingSession::OnRoundRecord(const RoundRecord& record) {
   PayloadWriter w;
   w.U8(static_cast<uint8_t>(Tag::kRoundRecord));
   w.I64(record.round);
-  w.F64(record.test_accuracy);
   w.F64(record.mean_local_loss);
   w.U8(record.recomputation ? 1 : 0);
   AppendRecord(w.str());

@@ -51,4 +51,22 @@ double EvaluateLossChunked(Model* model, const Batch& batch,
   return total / static_cast<double>(n);
 }
 
+std::vector<double> StoredRoundAccuracies(const FatsTrainer& trainer,
+                                          size_t from_index) {
+  const std::vector<RoundRecord>& records = trainer.log().records();
+  std::vector<double> accuracy;
+  if (from_index >= records.size()) return accuracy;
+  accuracy.reserve(records.size() - from_index);
+  Model replica(trainer.spec(), trainer.config().seed);
+  const Batch& test = trainer.test_batch();
+  for (size_t i = from_index; i < records.size(); ++i) {
+    const Tensor* theta = trainer.store().GetGlobalModel(records[i].round);
+    FATS_CHECK(theta != nullptr)
+        << "no stored global model for round " << records[i].round;
+    replica.SetParameters(*theta);
+    accuracy.push_back(replica.EvaluateAccuracy(test.inputs, test.labels));
+  }
+  return accuracy;
+}
+
 }  // namespace fats

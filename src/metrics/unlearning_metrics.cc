@@ -2,25 +2,35 @@
 
 namespace fats {
 
-RecoveryMetrics AnalyzeRecovery(const TrainLog& log, size_t request_index,
+int64_t RoundsToReach(const std::vector<double>& accuracy, double target,
+                      size_t from_index) {
+  for (size_t i = from_index; i < accuracy.size(); ++i) {
+    if (accuracy[i] >= target) {
+      return static_cast<int64_t>(i - from_index) + 1;
+    }
+  }
+  return -1;
+}
+
+RecoveryMetrics AnalyzeRecovery(const std::vector<double>& accuracy,
+                                size_t request_index,
                                 double recovery_fraction) {
   RecoveryMetrics metrics;
-  const auto& records = log.records();
-  if (records.empty() || request_index == 0 ||
-      request_index > records.size()) {
+  if (accuracy.empty() || request_index == 0 ||
+      request_index > accuracy.size()) {
     return metrics;
   }
-  metrics.accuracy_before = records[request_index - 1].test_accuracy;
-  if (request_index < records.size()) {
-    metrics.accuracy_after_drop = records[request_index].test_accuracy;
+  metrics.accuracy_before = accuracy[request_index - 1];
+  if (request_index < accuracy.size()) {
+    metrics.accuracy_after_drop = accuracy[request_index];
   } else {
     metrics.accuracy_after_drop = metrics.accuracy_before;
   }
   metrics.accuracy_drop =
       metrics.accuracy_before - metrics.accuracy_after_drop;
-  metrics.rounds_to_recover = log.RoundsToReach(
-      recovery_fraction * metrics.accuracy_before, request_index);
-  metrics.final_accuracy = records.back().test_accuracy;
+  metrics.rounds_to_recover = RoundsToReach(
+      accuracy, recovery_fraction * metrics.accuracy_before, request_index);
+  metrics.final_accuracy = accuracy.back();
   return metrics;
 }
 

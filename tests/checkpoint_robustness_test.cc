@@ -133,6 +133,28 @@ TEST(CheckpointRobustnessTest, TornAtRecordBoundaryRejected) {
       << status.message();
 }
 
+TEST(CheckpointRobustnessTest, PreviousFormatVersionRejected) {
+  // Version 5 stored a test accuracy per round record; version 6 computes it
+  // on read. A v5 file must be refused with a Status before any state is
+  // restored.
+  const std::string path = TempPath("ckpt_v5.ckpt");
+  Env source = MakeEnv(/*train=*/true);
+  ASSERT_TRUE(SaveTrainerCheckpoint(source.trainer.get(), path).ok());
+  std::string blob = ReadFile(path);
+  // u64 magic length + "FATSCKPT", then the u32 version.
+  const size_t version_at = 8 + 8;
+  ASSERT_GT(blob.size(), version_at + 4);
+  ASSERT_EQ(blob[version_at], '\x06') << "expected a version-6 checkpoint";
+  blob[version_at] = '\x05';
+  WriteFile(path, blob);
+
+  Env target = MakeEnv(/*train=*/false);
+  const Status status = LoadTrainerCheckpoint(path, target.trainer.get());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(target.trainer->trained_through(), 0);
+  EXPECT_TRUE(target.trainer->log().empty());
+}
+
 TEST(CheckpointRobustnessTest, TrailingGarbageRejected) {
   const std::string path = TempPath("robust_trailing.bin");
   Env saved = MakeEnv(true);

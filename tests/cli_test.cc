@@ -104,6 +104,34 @@ TEST_F(CliTest, FullLifecycle) {
       << "deletion journal must keep the data view consistent: " << output;
 }
 
+TEST_F(CliTest, LogCsvReadsAccuracyFromTheStoredRounds) {
+  // Training never evaluates; --log_csv computes each round's accuracy
+  // from its stored global model when it writes the file. The last round's
+  // value is the model the status block evaluates.
+  const std::string csv = Checkpoint() + ".csv";
+  std::string output;
+  ASSERT_EQ(RunCli("train " + CommonFlags() + " --log_csv=" + csv, &output),
+            0)
+      << output;
+  const size_t at = output.find("accuracy : ");
+  ASSERT_NE(at, std::string::npos) << output;
+  const double status_accuracy = std::atof(output.c_str() + at + 11);
+
+  std::ifstream in(csv);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "round,test_accuracy,mean_local_loss,recomputation");
+  int rows = 0;
+  std::string last;
+  while (std::getline(in, line)) {
+    ++rows;
+    last = line;
+  }
+  EXPECT_EQ(rows, 6);
+  ASSERT_EQ(last.rfind("6,", 0), 0u) << last;
+  EXPECT_NEAR(std::atof(last.c_str() + 2), status_accuracy, 5e-5) << last;
+}
+
 TEST_F(CliTest, UnlearnWithoutCheckpointFails) {
   std::string output;
   EXPECT_EQ(RunCli("unlearn-sample " + CommonFlags() +

@@ -102,19 +102,34 @@ TEST(CsvWriterTest, FullDiskLatchesDuringLargeWrites) {
 
 TEST(TrainLogCsvTest, WriteCsvFileMatchesToCsv) {
   TrainLog log;
-  log.Append({1, 0.5, 1.25, false});
-  log.Append({2, 0.75, 0.5, true});
+  log.Append({1, 1.25, false});
+  log.Append({2, 0.5, true});
+  const std::vector<double> accuracy = {0.5, 0.75};
   std::string path = testing::TempDir() + "/train_log_write.csv";
-  ASSERT_TRUE(log.WriteCsvFile(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
+  auto read = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents, log.ToCsv());
+  };
+  ASSERT_TRUE(log.WriteCsvFile(path).ok());
+  EXPECT_EQ(read(), log.ToCsv());
+  EXPECT_EQ(log.ToCsv(),
+            "round,mean_local_loss,recomputation\n"
+            "1,1.250000,0\n"
+            "2,0.500000,1\n");
+  // An accuracy series read from outside the log becomes the second column.
+  ASSERT_TRUE(log.WriteCsvFile(path, accuracy).ok());
+  EXPECT_EQ(read(),
+            "round,test_accuracy,mean_local_loss,recomputation\n"
+            "1,0.500000,1.250000,0\n"
+            "2,0.750000,0.500000,1\n");
+  const Status mismatch = log.WriteCsvFile(path, {0.5});
+  EXPECT_EQ(mismatch.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TrainLogCsvTest, WriteCsvFilePropagatesOpenFailure) {
   TrainLog log;
-  log.Append({1, 0.5, 1.25, false});
+  log.Append({1, 1.25, false});
   Status status = log.WriteCsvFile("/nonexistent_dir_zzz/log.csv");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
@@ -124,7 +139,7 @@ TEST(TrainLogCsvTest, WriteCsvFilePropagatesFullDisk) {
   if (!HaveDevFull()) GTEST_SKIP() << "/dev/full not available";
   TrainLog log;
   for (int64_t r = 1; r <= 64; ++r) {
-    log.Append({r, 0.5, 1.0, false});
+    log.Append({r, 1.0, false});
   }
   Status status = log.WriteCsvFile("/dev/full");
   ASSERT_FALSE(status.ok()) << "full disk was not reported";

@@ -665,6 +665,65 @@ TEST(AnalyzeSamplingDrawOwner, SuppressionDowngrades) {
   EXPECT_TRUE(HasRule(r, kRuleSamplingDrawOwner, /*suppressed=*/true));
 }
 
+// --- Rule fixtures: eval-in-trainer ---
+
+TEST(AnalyzeEvalInTrainer, EvaluationInsideThePassLoopFires) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/fats_trainer.cc",
+      "void FatsTrainer::Pass(TrainPassKind kind, int64_t t0, int64_t t) {\n"
+      "  RoundRecord record;\n"
+      "  record.test_accuracy = EvaluateTestAccuracy();\n"
+      "}\n");
+  EXPECT_TRUE(HasRule(r, kRuleEvalInTrainer));
+}
+
+TEST(AnalyzeEvalInTrainer, ModelEvaluationInBaselineRoundFires) {
+  for (const char* path : {"src/baselines/fr2.cc", "src/fl/fedavg.cc"}) {
+    const AnalysisResult r = AnalyzeOne(
+        path,
+        "void Fr2Unlearner::RecoveryRound(int64_t round) {\n"
+        "  double a = model_->EvaluateAccuracy(x, y);\n"
+        "}\n");
+    EXPECT_TRUE(HasRule(r, kRuleEvalInTrainer)) << path;
+  }
+}
+
+TEST(AnalyzeEvalInTrainer, DefinitionsDeclarationsAndReadersAreClean) {
+  // The public entry point itself, a declaration, and evaluation outside
+  // the trainer layers (the metrics read helper, benches, the CLI).
+  const AnalysisResult def = AnalyzeOne(
+      "src/fl/fedavg.cc",
+      "double FedAvgTrainer::EvaluateTestAccuracy() {\n"
+      "  return model_->EvaluateAccuracy(test_.inputs, test_.labels);\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(def).empty());
+  const AnalysisResult decl =
+      AnalyzeOne("src/core/fats_trainer.h",
+                 "class FatsTrainer {\n double EvaluateTestAccuracy();\n};\n");
+  EXPECT_TRUE(ActiveRules(decl).empty());
+  const std::string reader =
+      "std::vector<double> Read(Model* m) {\n"
+      "  return {m->EvaluateAccuracy(x, y)};\n"
+      "}\n";
+  for (const char* path : {"src/metrics/evaluation.cc",
+                           "bench/bench_fig1_accuracy.cc",
+                           "tools/fats_cli.cc"}) {
+    EXPECT_FALSE(HasRule(AnalyzeOne(path, reader), kRuleEvalInTrainer))
+        << path;
+  }
+}
+
+TEST(AnalyzeEvalInTrainer, SuppressionDowngrades) {
+  const AnalysisResult r = AnalyzeOne(
+      "src/core/x.cc",
+      "void F(FatsTrainer* trainer) {\n"
+      "  double a = trainer->EvaluateTestAccuracy();  "
+      "// fats-lint: allow(eval-in-trainer)\n"
+      "}\n");
+  EXPECT_TRUE(ActiveRules(r).empty());
+  EXPECT_TRUE(HasRule(r, kRuleEvalInTrainer, /*suppressed=*/true));
+}
+
 // --- Rule fixtures: raw-wire ---
 
 TEST(AnalyzeRawWire, FrameCodecInCoreFires) {
@@ -840,7 +899,7 @@ TEST(AnalyzeRules, AllRulesSupersetOfLegacy) {
        {kRuleRngRawKey, kRuleRngSharedStream, kRuleRngUnorderedDraw,
         kRuleNondetReduction, kRuleFailpointGap, kRuleDiscardedStatus,
         kRuleLayerOrder, kRuleLayerCycle, kRuleTileOverlap,
-        kRuleResidentHistory}) {
+        kRuleResidentHistory, kRuleEvalInTrainer}) {
     EXPECT_NE(std::find(all.begin(), all.end(), rule), all.end()) << rule;
   }
 }

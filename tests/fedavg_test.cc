@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/unlearning_metrics.h"
 #include "test_workloads.h"
 
 namespace fats {
@@ -135,16 +136,39 @@ TEST(FedAvgTest, BumpGenerationChangesTrajectory) {
 
 TEST(TrainLogTest, RoundsToReachAndTrailingRecomputation) {
   TrainLog log;
-  log.Append({1, 0.2, 1.0, false});
-  log.Append({2, 0.5, 0.8, false});
-  log.Append({3, 0.7, 0.6, true});
-  log.Append({4, 0.9, 0.4, true});
-  EXPECT_EQ(log.RoundsToReach(0.6, 0), 3);
-  EXPECT_EQ(log.RoundsToReach(0.6, 2), 1);
-  EXPECT_EQ(log.RoundsToReach(0.99, 0), -1);
+  log.Append({1, 1.0, false});
+  log.Append({2, 0.8, false});
+  log.Append({3, 0.6, true});
+  log.Append({4, 0.4, true});
+  // The accuracy series lives beside the log, one value per record.
+  const std::vector<double> accuracy = {0.2, 0.5, 0.7, 0.9};
+  EXPECT_EQ(RoundsToReach(accuracy, 0.6, 0), 3);
+  EXPECT_EQ(RoundsToReach(accuracy, 0.6, 2), 1);
+  EXPECT_EQ(RoundsToReach(accuracy, 0.99, 0), -1);
   EXPECT_EQ(log.TrailingRecomputationRounds(), 2);
-  EXPECT_DOUBLE_EQ(log.LastAccuracy(), 0.9);
-  EXPECT_NE(log.ToCsv().find("round,test_accuracy"), std::string::npos);
+  EXPECT_NE(log.ToCsv().find("round,mean_local_loss"), std::string::npos);
+}
+
+TEST(FedAvgTest, RoundObserverSeesEveryRoundAndLeavesTheModelAlone) {
+  FederatedDataset data_a = TinyImageData(4, 10);
+  FederatedDataset data_b = TinyImageData(4, 10);
+  FedAvgTrainer observed(TinyModelSpec(), SmallOptions(), &data_a);
+  FedAvgTrainer plain(TinyModelSpec(), SmallOptions(), &data_b);
+  std::vector<int64_t> rounds;
+  std::vector<double> accuracy;
+  observed.set_round_observer([&](const RoundRecord& record) {
+    rounds.push_back(record.round);
+    accuracy.push_back(observed.EvaluateTestAccuracy());
+  });
+  observed.RunRounds(3);
+  for (int64_t r = 1; r <= 3; ++r) {
+    plain.RunRounds(1);
+    EXPECT_EQ(accuracy[static_cast<size_t>(r - 1)],
+              plain.EvaluateTestAccuracy())
+        << "round " << r;
+  }
+  EXPECT_EQ(rounds, (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_TRUE(observed.global_params().BitwiseEquals(plain.global_params()));
 }
 
 }  // namespace

@@ -78,6 +78,30 @@ TEST(Fr2DetailsTest, RecoveryLogsFlaggedRounds) {
   EXPECT_EQ(trainer.comm_stats().rounds(), 7);
 }
 
+TEST(Fr2DetailsTest, RecoveryRoundsReachTheRoundObserver) {
+  // FR²'s recovery rounds run outside RunRounds; an accuracy curve still
+  // sees each of them, with the recovered model in place.
+  FederatedDataset data = TinyImageData(6, 12);
+  FedAvgTrainer trainer(TinyModelSpec(), SmallOptions(), &data);
+  std::vector<int64_t> observed;
+  Tensor last_seen;
+  trainer.set_round_observer([&](const RoundRecord& record) {
+    observed.push_back(record.round);
+    last_seen = trainer.global_params();
+  });
+  trainer.RunRounds(4);
+  Fr2Options options;
+  options.recovery_rounds = 3;
+  Fr2Unlearner unlearner(&trainer, &data, options);
+  ASSERT_TRUE(unlearner.UnlearnClients({2}).ok());
+  std::vector<int64_t> logged;
+  for (const RoundRecord& record : trainer.log().records()) {
+    logged.push_back(record.round);
+  }
+  EXPECT_EQ(observed, logged);
+  EXPECT_TRUE(last_seen.BitwiseEquals(trainer.global_params()));
+}
+
 TEST(Fr2DetailsTest, ApproximateUnlearningRetainsInfluenceSignal) {
   // The defining limitation versus FATS: FR² does not reset the sampling
   // history — the deployed model still descends from the deleted data.

@@ -7,6 +7,7 @@
 #include "baselines/frs.h"
 #include "core/unlearning_executor.h"
 #include "data/paper_configs.h"
+#include "metrics/evaluation.h"
 #include "metrics/unlearning_metrics.h"
 
 namespace fats {
@@ -33,6 +34,7 @@ TEST(IntegrationTest, FullFatsPipelineSampleLevel) {
   EXPECT_GT(acc, 0.3) << "model failed to learn the scaled task";
 
   const size_t pre_request_records = trainer.log().records().size();
+  std::vector<double> accuracy = StoredRoundAccuracies(trainer);
   UnlearningExecutor executor(&trainer);
   StreamId id;
   id.purpose = RngPurpose::kGeneric;
@@ -43,8 +45,10 @@ TEST(IntegrationTest, FullFatsPipelineSampleLevel) {
   EXPECT_EQ(summary.requests, 5);
   // FATS re-computation, when triggered, is at most a full retrain.
   EXPECT_LE(summary.total_recomputed_rounds, profile.rounds_r);
-  RecoveryMetrics recovery =
-      AnalyzeRecovery(trainer.log(), pre_request_records);
+  const std::vector<double> after =
+      StoredRoundAccuracies(trainer, pre_request_records);
+  accuracy.insert(accuracy.end(), after.begin(), after.end());
+  RecoveryMetrics recovery = AnalyzeRecovery(accuracy, pre_request_records);
   EXPECT_LT(recovery.accuracy_drop, 0.6);
 }
 

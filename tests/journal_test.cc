@@ -424,6 +424,26 @@ TEST(DurableJournalTest, AsyncSessionRecoversBitExactlyFromTruncatedTail) {
   EXPECT_TRUE(env.trainer->global_params().BitwiseEquals(reference));
 }
 
+TEST(DurableJournalTest, VersionOneJournalIsRefused) {
+  // Version-1 round records carried a test accuracy that version 2 drops;
+  // an old journal must be refused with a Status, never misparsed.
+  const std::string ckpt = TempPath("djrn_v1.ckpt");
+  const std::string jrn = TempPath("djrn_v1.jrn");
+  (void)RunDurable(ckpt, jrn);
+  std::string blob = ReadFile(jrn);
+  ASSERT_GT(blob.size(), static_cast<size_t>(kHeaderBytes));
+  ASSERT_EQ(blob[8], '\x02') << "expected a version-2 header";
+  blob[8] = '\x01';
+  WriteFile(jrn, blob);
+
+  EXPECT_EQ(ScanJournal(jrn).status().code(), StatusCode::kInvalidArgument);
+  Env env = MakeEnv();
+  Result<std::unique_ptr<DurableTrainingSession>> session =
+      DurableTrainingSession::Open(ckpt, jrn, env.trainer.get());
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DurableJournalTest, CleanReopenDoesNotRetrain) {
   const std::string ckpt = TempPath("djrn_clean.ckpt");
   const std::string jrn = TempPath("djrn_clean.jrn");

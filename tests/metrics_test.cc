@@ -32,22 +32,10 @@ TEST(EvaluationTest, EmptyBatchIsZero) {
   EXPECT_EQ(EvaluateLossChunked(&model, empty), 0.0);
 }
 
-TrainLog MakeLog(std::vector<double> accuracies, size_t recompute_from) {
-  TrainLog log;
-  for (size_t i = 0; i < accuracies.size(); ++i) {
-    RoundRecord record;
-    record.round = static_cast<int64_t>(i) + 1;
-    record.test_accuracy = accuracies[i];
-    record.recomputation = i >= recompute_from;
-    log.Append(record);
-  }
-  return log;
-}
-
 TEST(RecoveryMetricsTest, ComputesDropAndRecovery) {
   // Accuracy 0.8 before unlearning; drops to 0.4; recovers at record 5.
-  TrainLog log = MakeLog({0.5, 0.8, 0.4, 0.6, 0.75, 0.81}, 2);
-  RecoveryMetrics metrics = AnalyzeRecovery(log, 2, 0.95);
+  const std::vector<double> accuracy = {0.5, 0.8, 0.4, 0.6, 0.75, 0.81};
+  RecoveryMetrics metrics = AnalyzeRecovery(accuracy, 2, 0.95);
   EXPECT_DOUBLE_EQ(metrics.accuracy_before, 0.8);
   EXPECT_DOUBLE_EQ(metrics.accuracy_after_drop, 0.4);
   EXPECT_DOUBLE_EQ(metrics.accuracy_drop, 0.4);
@@ -57,24 +45,20 @@ TEST(RecoveryMetricsTest, ComputesDropAndRecovery) {
 }
 
 TEST(RecoveryMetricsTest, NeverRecoversIsMinusOne) {
-  TrainLog log = MakeLog({0.8, 0.3, 0.4}, 1);
-  RecoveryMetrics metrics = AnalyzeRecovery(log, 1, 0.95);
+  RecoveryMetrics metrics = AnalyzeRecovery({0.8, 0.3, 0.4}, 1, 0.95);
   EXPECT_EQ(metrics.rounds_to_recover, -1);
 }
 
 TEST(RecoveryMetricsTest, RequestAtEndHasNoDrop) {
-  TrainLog log = MakeLog({0.5, 0.7}, 2);
-  RecoveryMetrics metrics = AnalyzeRecovery(log, 2, 0.95);
+  RecoveryMetrics metrics = AnalyzeRecovery({0.5, 0.7}, 2, 0.95);
   EXPECT_DOUBLE_EQ(metrics.accuracy_drop, 0.0);
 }
 
 TEST(RecoveryMetricsTest, DegenerateInputsReturnDefaults) {
-  TrainLog empty;
-  RecoveryMetrics metrics = AnalyzeRecovery(empty, 0, 0.95);
+  RecoveryMetrics metrics = AnalyzeRecovery({}, 0, 0.95);
   EXPECT_EQ(metrics.rounds_to_recover, -1);
   EXPECT_DOUBLE_EQ(metrics.accuracy_before, 0.0);
-  TrainLog log = MakeLog({0.5}, 1);
-  metrics = AnalyzeRecovery(log, 5, 0.95);  // out of range
+  metrics = AnalyzeRecovery({0.5}, 5, 0.95);  // out of range
   EXPECT_DOUBLE_EQ(metrics.accuracy_before, 0.0);
 }
 

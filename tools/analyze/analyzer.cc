@@ -79,6 +79,7 @@ AnalysisResult AnalyzeFiles(const std::vector<SourceFile>& files,
     CheckWireDiscipline(model, &result.findings);
     CheckTileOwnership(model, &result.findings);
     CheckHistoryResidency(model, &result.findings);
+    CheckEvalInTrainer(model, &result.findings);
   }
 
   CheckLayering(result.index, models, &result.findings);

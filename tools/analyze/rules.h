@@ -71,6 +71,12 @@
 //                      state::HistoryLog, which compresses, tiers, and
 //                      spills it. The store's O(1)-triage inverted indices
 //                      are the sanctioned exception, via suppression.
+//   eval-in-trainer    a call of EvaluateAccuracy / EvaluateTestAccuracy
+//                      inside a function body in src/core, src/fl or
+//                      src/baselines, other than the EvaluateTestAccuracy
+//                      definitions: test accuracy is an observation computed
+//                      on read, and a training or replay loop that evaluates
+//                      makes every round pay for it.
 
 #ifndef FATS_TOOLS_ANALYZE_RULES_H_
 #define FATS_TOOLS_ANALYZE_RULES_H_
@@ -99,6 +105,7 @@ inline constexpr const char kRuleSamplingDrawOwner[] = "sampling-draw-owner";
 inline constexpr const char kRuleRawWire[] = "raw-wire";
 inline constexpr const char kRuleTileOverlap[] = "tile-overlap";
 inline constexpr const char kRuleResidentHistory[] = "resident-history";
+inline constexpr const char kRuleEvalInTrainer[] = "eval-in-trainer";
 
 // The analyzer-pass rule IDs (the full ID space is these plus
 // lint::AllRules()).
@@ -144,6 +151,8 @@ void CheckTileOwnership(const FileModel& model,
                         std::vector<lint::Finding>* findings);
 void CheckHistoryResidency(const FileModel& model,
                            std::vector<lint::Finding>* findings);
+void CheckEvalInTrainer(const FileModel& model,
+                        std::vector<lint::Finding>* findings);
 
 // Whole-tree pass over the include graph.
 void CheckLayering(const AnalysisIndex& index,

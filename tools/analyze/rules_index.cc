@@ -32,7 +32,7 @@ std::vector<std::string> AnalyzerRules() {
           kRuleNondetReduction, kRuleFailpointGap,       kRuleDiscardedStatus,
           kRuleLayerOrder,     kRuleLayerCycle,
           kRuleStoreMutationBypass, kRuleSamplingDrawOwner, kRuleRawWire,
-          kRuleTileOverlap,    kRuleResidentHistory};
+          kRuleTileOverlap,    kRuleResidentHistory,     kRuleEvalInTrainer};
 }
 
 void IndexFile(const FileModel& model, AnalysisIndex* index) {

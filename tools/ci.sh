@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI driver: configure -> build -> ctest -> fats_analyze -> bench gate ->
-# clang-tidy -> tsan smoke of the parallel-execution tests -> chaos step
-# (crash matrix + lossy-wire fault matrix) under asan-ubsan.
+# perfbench pins -> clang-tidy -> tsan smoke of the parallel-execution
+# tests -> chaos step (crash matrix + lossy-wire fault matrix) under
+# asan-ubsan.
 #
 # Usage:
 #   tools/ci.sh [PRESET]            # default preset: release
@@ -18,13 +19,13 @@ cd "$(dirname "$0")/.."
 PRESET="${1:-release}"
 JOBS="$(nproc 2> /dev/null || echo 2)"
 
-echo "=== [1/8] configure (preset: $PRESET) ==="
+echo "=== [1/9] configure (preset: $PRESET) ==="
 cmake --preset "$PRESET"
 
-echo "=== [2/8] build ==="
+echo "=== [2/9] build ==="
 cmake --build --preset "$PRESET" -j "$JOBS"
 
-echo "=== [3/8] ctest ==="
+echo "=== [3/9] ctest ==="
 ctest --preset "$PRESET" -j "$JOBS"
 
 BUILD_DIR="build-${PRESET}"
@@ -32,7 +33,7 @@ if [[ "$PRESET" == "asan-ubsan" ]]; then
   BUILD_DIR="build-asan"
 fi
 
-echo "=== [4/8] fats_analyze (static contract analysis) ==="
+echo "=== [4/9] fats_analyze (static contract analysis) ==="
 # Hard gate: the analyzer (legacy lint rules + RNG/reduction/failpoint/
 # Status/layering passes) must report zero unsuppressed violations.  The
 # JSON and SARIF reports are uploaded as CI artifacts.
@@ -41,7 +42,7 @@ echo "=== [4/8] fats_analyze (static contract analysis) ==="
   --json fats_analyze_report.json \
   --sarif fats_analyze_report.sarif
 
-echo "=== [5/8] bench gate ==="
+echo "=== [5/9] bench gate ==="
 # Build + run the micro-kernel benchmarks with minimal iterations and diff
 # the timings against the checked-in BENCH_kernels.json via bench_check.
 # Hard gate: any kernel more than BENCH_MAX_REGRESS_PCT slower than the
@@ -110,7 +111,18 @@ else
   echo "bench gate: skipped (preset $PRESET; benches run on release only)"
 fi
 
-echo "=== [6/8] clang-tidy ==="
+echo "=== [6/9] perfbench pins (exact end-to-end gate) ==="
+# Each end-to-end workload runs once at a fixed seed and size (a few seconds
+# each); its model CRC and count metrics must equal the pins in
+# tools/perfbench_pins.json exactly. Unlike the timing gates above this one
+# has no noise: any difference is a change of behaviour.
+if [[ "$PRESET" == "release" ]]; then
+  python3 tools/check_perfbench_pins.py
+else
+  echo "perfbench pins: skipped (preset $PRESET; runs on release only)"
+fi
+
+echo "=== [7/9] clang-tidy ==="
 CHANGED=()
 if [[ -n "${CI_BASE_REF:-}" ]] && git rev-parse --verify -q "$CI_BASE_REF" > /dev/null; then
   while IFS= read -r f; do
@@ -126,7 +138,7 @@ else
   tools/run_clang_tidy.sh -p "$BUILD_DIR"
 fi
 
-echo "=== [7/8] tsan smoke (parallel-execution tests) ==="
+echo "=== [8/9] tsan smoke (parallel-execution tests) ==="
 # kernel_contract_test exercises the parallel GEMM at worker counts 1/2/4/7
 # (the ISSUE-8 bit-identity matrix) and crash_matrix_test exercises the
 # async journal's WriterThread handoff, so both are race-checked on every
@@ -157,7 +169,7 @@ else
   TSAN_OPTIONS="die_after_fork=0" build-tsan/tests/crash_matrix_test
 fi
 
-echo "=== [8/8] chaos: crash matrix + fault matrix under asan-ubsan ==="
+echo "=== [9/9] chaos: crash matrix + fault matrix under asan-ubsan ==="
 # Re-run the failpoint kill/recover matrix with sanitizers on: recovery code
 # paths (torn-tail truncation, journal replay, re-execution) are exactly the
 # ones a fuzzer won't reach and a crash will. transport_exactness_test is

@@ -29,6 +29,7 @@
 #include "data/paper_configs.h"
 #include "io/checkpoint.h"
 #include "io/train_journal.h"
+#include "metrics/evaluation.h"
 #include "metrics/gradient_diversity.h"
 #include "util/flags.h"
 
@@ -48,7 +49,7 @@ struct CliOptions {
   int64_t index = -1;
   int64_t threads = 1;  // worker threads; results are thread-count-invariant
   std::string journal;     // journaled crash-exact session when non-empty
-  std::string log_csv;     // write the per-round TrainLog here when non-empty
+  std::string log_csv;     // per-round TrainLog + accuracy CSV when non-empty
   std::string fault_spec;  // failpoint arming spec (site:hit:action,...)
   std::string transport_faults;  // lossy-wire spec (drop=..,corrupt=..,...)
 };
@@ -178,7 +179,10 @@ Status RunTrain(const CliOptions& options, bool resume) {
   }
   std::printf("checkpoint written to %s\n", options.checkpoint.c_str());
   if (!options.log_csv.empty()) {
-    FATS_RETURN_NOT_OK(trainer.log().WriteCsvFile(options.log_csv));
+    // Accuracy on read: each round's stored global model is evaluated now,
+    // so a round replayed by an unlearning request shows its current model.
+    FATS_RETURN_NOT_OK(trainer.log().WriteCsvFile(
+        options.log_csv, StoredRoundAccuracies(trainer)));
     std::printf("round log written to %s\n", options.log_csv.c_str());
   }
   return Status::OK();
